@@ -53,11 +53,8 @@ class BatchSearchMixin:
     """Uniform multi-query entry point shared by every index class.
 
     Mixing this in gives a class ``batch_search``, which routes through
-    :func:`repro.core.batch.execute_batch`: RangePQ-family indexes (those
-    with ``plan_query``) share range plans and batched ADC kernels; plain
-    baselines fall back to a per-request loop that still benefits from the
-    IVF-level ADC-table cache.  Results are bitwise identical to calling
-    ``query`` per request.
+    :func:`repro.core.batch.execute_batch`: input validation, one ``query``
+    call per request, and aggregated :class:`~repro.core.batch.BatchStats`.
     """
 
     def batch_search(

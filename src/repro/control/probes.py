@@ -22,7 +22,7 @@ deployment shapes:
 Both probes are deterministic: fixed query set, fixed ranges, fixed
 ``k``.  A probe never mutates the service; it issues plain reads through
 whatever callable the controller hands it, so probe traffic takes the
-same locks, caches, and combiner path as client traffic.
+same locks and caches as client traffic.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Core contribution: RangePQ, RangePQ+, and the adaptive L policy."""
 
 from .adaptive import AdaptiveLPolicy, FixedLPolicy, LPolicy
-from .batch import BatchResult, BatchStats, QueryPlan, execute_batch
+from .batch import BatchResult, BatchStats, execute_batch
 from .multiattr import MultiAttrRangePQ
 from .rangepq import RangePQ
 from .rangepq_plus import HybridNode, RangePQPlus
@@ -18,7 +18,6 @@ __all__ = [
     "LPolicy",
     "QueryResult",
     "QueryStats",
-    "QueryPlan",
     "BatchResult",
     "BatchStats",
     "execute_batch",

@@ -1,114 +1,45 @@
-"""Batched query execution: amortize per-query work across a request batch.
+"""Batched query execution: one entry point for a ``(queries, ranges)`` batch.
 
-A serving system rarely answers one query at a time.  This module drives a
-whole ``(queries, ranges)`` batch through any index in the repo while
-preserving *exact* per-query semantics:
-
-* **Shared ADC tables / center distances** — the ``O(d·Z)`` distance table
-  and the ``O(K·d)`` center-distance pass are computed once per *unique*
-  query vector (vectorized over the batch, LRU-cached across batches by
-  :class:`repro.ivf.IVFPQIndex`) instead of once per request.
-* **Shared query plans** — requests with an identical ``(lo, hi)`` range
-  share one tree decomposition, one candidate-cluster set, and one
-  materialized per-cluster member listing, so overlapping candidate sets
-  are drained from the tree once per batch rather than once per request.
-
-Every result is bitwise identical to the sequential ``index.query`` path:
-the batched kernels reduce in the same floating-point order as the
-single-query kernels, plan sharing reuses *inputs* (covers, member lists)
-while ranking and top-k selection still run per query through
-:func:`repro.core.search.search_by_coarse_centers`.
+``execute_batch`` validates a caller-assembled batch and answers it with
+one ``index.query`` call per request, so ``results[i]`` *is*
+``index.query(queries[i], *ranges[i], k)``.  What a batch buys is one call
+site, one lock hold in the serving layer, and aggregated
+:class:`BatchStats`; repeated query vectors still hit the IVF-level
+ADC-table and center-distance caches, as they do between single queries.
 
 Indexes expose this through ``batch_search`` (a one-line mixin, see
-:class:`repro.baselines.base.BatchSearchMixin`).  RangePQ / RangePQ+ opt
-into the planner fast path by providing ``plan_query``; any other index
-falls back to a per-request loop that still benefits from the IVF-level
-caches.
+:class:`repro.baselines.base.BatchSearchMixin`).  For process-level
+parallelism over a batch use
+:meth:`repro.parallel.ParallelQueryExecutor.search_batch`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .. import kernels
 from ..obs import counter as obs_counter
 from ..obs import histogram, phase
 from .results import QueryResult, QueryStats
-from .search import search_by_coarse_centers
 
-__all__ = ["QueryPlan", "BatchStats", "BatchResult", "execute_batch"]
+__all__ = ["BatchStats", "BatchResult", "execute_batch"]
 
 _BATCH_WALL_MS = histogram("batch.wall_ms")
-_BATCH_TABLE_MS = histogram("query.table_ms")
-_BATCH_RANK_MS = histogram("query.rank_ms")
 _BATCH_QUERIES = obs_counter("batch.queries")
-_BATCH_COALESCED = obs_counter("batch.coalesced_queries")
-_BATCH_SHARED_PLANS = obs_counter("batch.shared_plan_queries")
-
-
-@dataclass
-class QueryPlan:
-    """Range-dependent (query-vector-independent) part of one query.
-
-    Produced by ``RangePQ.plan_query`` / ``RangePQPlus.plan_query``; holds
-    everything Alg. 1/5 derive from ``[lo, hi]`` alone, so several queries
-    with the same range can share one plan.
-
-    Attributes:
-        lo / hi: The attribute range the plan was built for.
-        num_in_range: Live objects inside the range (``|O_Q|``).
-        coverage: ``num_in_range`` over the live object count.
-        clusters: Sorted candidate coarse-cluster IDs.
-        members: Per-cluster in-range member enumerator (the
-            ``cluster_members`` callable of SearchByCCenters).
-        chunked: Whether ``members`` yields chunks (RangePQ+) or single IDs.
-        cover_nodes: Tree cover pieces behind the plan.
-        decompose_ms: Time spent building the cover.
-    """
-
-    lo: float
-    hi: float
-    num_in_range: int
-    coverage: float
-    clusters: list[int]
-    members: Callable[[int], Iterable]
-    chunked: bool
-    cover_nodes: int
-    decompose_ms: float
-
-    def fresh_stats(self) -> QueryStats:
-        """A new :class:`QueryStats` pre-filled with the plan-level fields."""
-        return QueryStats(
-            num_in_range=self.num_in_range,
-            cover_nodes=self.cover_nodes,
-            decompose_ms=self.decompose_ms,
-        )
 
 
 @dataclass
 class BatchStats:
     """Work counters aggregated over one ``batch_search`` call.
 
-    The phase totals describe the work the batch *actually performed*:
-    per-query phase timers are summed from the individual
-    :class:`QueryStats`, the batch-level kernels (shared table / center
-    builds) land in ``table_ms`` / ``rank_ms``, and ``decompose_ms``
-    counts each plan's decomposition **once** — shared-plan and coalesced
-    requests contribute no phantom repeats, so the sum of the phase
-    timers never exceeds ``wall_ms`` by construction (the per-request
-    :class:`QueryStats` still carry the shared plan's ``decompose_ms``
-    for per-query introspection).
+    Every request runs its own ``index.query``, so each total is the plain
+    sum of the per-request :class:`QueryStats` and the phase timers never
+    exceed ``wall_ms``.
 
     Attributes:
         num_queries: Requests in the batch.
-        num_plans: Distinct range plans built (planner path only).
-        shared_plan_queries: Requests that reused an earlier plan.
-        coalesced_queries: Requests answered by sharing the result of an
-            identical ``(query, range)`` request in the same batch.
         table_cache_hits / table_cache_misses: ADC-table cache outcomes
             attributable to this batch (0 when the index has no IVF cache).
         num_candidates: Total objects ADC-scored.
@@ -118,9 +49,6 @@ class BatchStats:
     """
 
     num_queries: int = 0
-    num_plans: int = 0
-    shared_plan_queries: int = 0
-    coalesced_queries: int = 0
     table_cache_hits: int = 0
     table_cache_misses: int = 0
     num_candidates: int = 0
@@ -142,23 +70,10 @@ class BatchStats:
         total = self.table_cache_hits + self.table_cache_misses
         return self.table_cache_hits / total if total else 0.0
 
-    def add_query_stats(
-        self, stats: QueryStats, *, include_decompose: bool = True
-    ) -> None:
-        """Fold one query's counters into the batch totals.
-
-        Args:
-            stats: The finished per-query stats.
-            include_decompose: Whether this query's ``decompose_ms``
-                represents work the batch performed.  The planner path
-                passes ``False`` for requests that reused an existing
-                plan — their stats carry a *copy* of the shared plan's
-                decompose time, and folding it again would double-count
-                one decomposition per sharing request.
-        """
+    def add_query_stats(self, stats: QueryStats) -> None:
+        """Fold one query's counters into the batch totals."""
         self.num_candidates += stats.num_candidates
-        if include_decompose:
-            self.decompose_ms += stats.decompose_ms
+        self.decompose_ms += stats.decompose_ms
         self.table_ms += stats.table_ms
         self.rank_ms += stats.rank_ms
         self.fetch_ms += stats.fetch_ms
@@ -189,190 +104,49 @@ def execute_batch(
     k: int,
     *,
     l_budget: int | None = None,
-    parallel=None,
 ) -> BatchResult:
     """Answer a batch of ``(query, range)`` requests against ``index``.
 
     Args:
-        index: Any range-filtered index.  Indexes providing ``plan_query``
-            (RangePQ, RangePQ+) take the plan-sharing fast path; everything
-            else falls back to per-request ``index.query`` calls (which
-            still hit the IVF-level ADC-table cache when present).
+        index: Any range-filtered index.
         queries: Array of shape ``(q, d)``.
         ranges: One inclusive ``(lo, hi)`` pair per query.
         k: Neighbors per request.
-        l_budget: Optional shared ``L`` override (RangePQ family only).
-        parallel: Optional
-            :class:`~repro.parallel.executor.ParallelQueryExecutor` built
-            over *this* ``index``.  When given, the coalesced unique
-            requests are scattered across its worker processes instead of
-            executed in-process; the executor degrades to serial execution
-            itself when its pool is unavailable.  Results follow the
-            executor's deterministic merge order, which agrees with the
-            serial path everywhere except exact distance-plus-oid ties at
-            the candidate-budget boundary.
+        l_budget: Optional shared ``L`` override; only indexes that choose
+            ``L`` through an ``l_policy`` (the RangePQ family) accept one.
 
     Returns:
-        A :class:`BatchResult`; ``results[i]`` is bitwise identical to
-        ``index.query(queries[i], *ranges[i], k)``.  Requests that are
-        exact duplicates within the batch (same query bytes and range) are
-        *coalesced*: they share one computed :class:`QueryResult` object —
-        no index state changes mid-batch, so identical inputs provably
-        yield identical outputs.
+        A :class:`BatchResult`; ``results[i]`` is
+        ``index.query(queries[i], *ranges[i], k)``.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if len(queries) != len(ranges):
         raise ValueError(f"{len(queries)} queries but {len(ranges)} ranges")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if l_budget is None:
+        budget = {}
+    elif hasattr(index, "l_policy"):
+        budget = {"l_budget": l_budget}
+    else:
+        raise ValueError(
+            "l_budget is only supported by indexes with an l_policy"
+        )
     stats = BatchStats(num_queries=len(queries))
-    ivf = getattr(index, "ivf", None)
-    cache = getattr(ivf, "table_cache", None)
+    cache = getattr(getattr(index, "ivf", None), "table_cache", None)
     hits_before = cache.hits if cache is not None else 0
     misses_before = cache.misses if cache is not None else 0
 
+    results = []
     with phase("batch", metric=_BATCH_WALL_MS) as wall:
-        # Request coalescing: compute each distinct (query, range) once.
-        rep_of: list[int] = []
-        unique_rows: list[int] = []
-        seen: dict[tuple[bytes, float, float], int] = {}
-        for i, (lo, hi) in enumerate(ranges):
-            request = (queries[i].tobytes(), float(lo), float(hi))
-            position = seen.get(request)
-            if position is None:
-                seen[request] = len(unique_rows)
-                rep_of.append(len(unique_rows))
-                unique_rows.append(i)
-            else:
-                rep_of.append(position)
-        stats.coalesced_queries = len(ranges) - len(unique_rows)
-        unique_queries = queries[unique_rows]
-        unique_ranges = [ranges[i] for i in unique_rows]
-
-        if parallel is not None:
-            if parallel.index is not index:
-                raise ValueError(
-                    "parallel executor was built over a different index"
-                )
-            unique_results = parallel.search_batch(
-                unique_queries, unique_ranges, k, l_budget=l_budget
-            )
-            for result in unique_results:
-                stats.add_query_stats(result.stats)
-        elif hasattr(index, "plan_query") and ivf is not None:
-            unique_results = _execute_planned(
-                index, ivf, unique_queries, unique_ranges, k, l_budget, stats
-            )
-        else:
-            if l_budget is not None:
-                raise ValueError(
-                    "l_budget is only supported by indexes with a "
-                    "plan_query path"
-                )
-            unique_results = []
-            for i, (lo, hi) in enumerate(unique_ranges):
-                result = index.query(unique_queries[i], lo, hi, k)
-                stats.add_query_stats(result.stats)
-                unique_results.append(result)
-        results = [unique_results[j] for j in rep_of]
+        for query, (lo, hi) in zip(queries, ranges):
+            result = index.query(query, lo, hi, k, **budget)
+            stats.add_query_stats(result.stats)
+            results.append(result)
     stats.wall_ms = wall.ms
     _BATCH_QUERIES.inc(stats.num_queries)
-    _BATCH_COALESCED.inc(stats.coalesced_queries)
-    _BATCH_SHARED_PLANS.inc(stats.shared_plan_queries)
 
     if cache is not None:
         stats.table_cache_hits = cache.hits - hits_before
         stats.table_cache_misses = cache.misses - misses_before
     return BatchResult(results=results, stats=stats)
-
-
-def _execute_planned(
-    index,
-    ivf,
-    queries: np.ndarray,
-    ranges: Sequence[tuple[float, float]],
-    k: int,
-    l_budget: int | None,
-    stats: BatchStats,
-) -> list[QueryResult]:
-    """Plan-sharing path for RangePQ-family indexes."""
-    keys = [(float(lo), float(hi)) for lo, hi in ranges]
-    multiplicity = Counter(keys)
-
-    # Batch-level kernels: one ADC table and one center-distance row per
-    # unique query vector (LRU-cached across batches).
-    with phase("table", metric=_BATCH_TABLE_MS) as timer:
-        tables = ivf.distance_tables(queries)
-    stats.table_ms += timer.ms
-    with phase("rank", metric=_BATCH_RANK_MS) as timer:
-        center_rows = ivf.center_distances_batch(queries)
-    stats.rank_ms += timer.ms
-
-    plans: dict[tuple[float, float], QueryPlan] = {}
-    # For ranges used by several requests, each cluster's in-range members
-    # are enumerated from the tree once and replayed as a plain list:
-    # taking the first ``need`` items of the replay equals the budget-
-    # limited drain of the original iterator, so results are unchanged.
-    shared_members: dict[tuple[float, float], Callable[[int], Iterable]] = {}
-    results: list[QueryResult] = []
-    for i, key in enumerate(keys):
-        plan = plans.get(key)
-        planned_here = plan is None
-        if planned_here:
-            plan = index.plan_query(key[0], key[1])
-            plans[key] = plan
-        else:
-            stats.shared_plan_queries += 1
-        query_stats = plan.fresh_stats()
-        if plan.num_in_range == 0:
-            results.append(QueryResult.empty(query_stats))
-            stats.add_query_stats(
-                query_stats, include_decompose=planned_here
-            )
-            continue
-        if l_budget is None:
-            budget = index.l_policy.choose(plan.coverage)
-        else:
-            budget = l_budget
-        members = plan.members
-        if multiplicity[key] > 1:
-            members = shared_members.get(key)
-            if members is None:
-                members = _materialized_members(plan)
-                shared_members[key] = members
-        result = search_by_coarse_centers(
-            ivf,
-            queries[i],
-            k,
-            budget,
-            plan.clusters,
-            members,
-            query_stats,
-            chunked=plan.chunked,
-            table=tables[i],
-            center_dist=center_rows[i],
-        )
-        results.append(result)
-        stats.add_query_stats(query_stats, include_decompose=planned_here)
-    stats.num_plans = len(plans)
-    return results
-
-
-def _materialized_members(plan: QueryPlan) -> Callable[[int], Iterable]:
-    """Memoize a plan's per-cluster member enumeration.
-
-    Each cluster is drained from the underlying tree at most once per batch
-    (on first request) and replayed from a list afterwards.  The replay
-    preserves enumeration order, so a prefix of it is exactly what the
-    budget-limited drain of a fresh iterator would have produced.
-    """
-    store: dict[int, list] = {}
-    source = plan.members
-
-    def members(cluster: int) -> list:
-        cached = store.get(cluster)
-        if cached is None:
-            cached = kernels.drain(source(cluster), None)
-            store[cluster] = cached
-        return cached
-    return members

@@ -32,8 +32,7 @@ from ..tree import (
     decompose,
 )
 from .adaptive import AdaptiveLPolicy, LPolicy
-from .batch import QueryPlan
-from .results import QueryResult
+from .results import QueryResult, QueryStats
 from .search import search_by_coarse_centers
 
 __all__ = ["RangePQ"]
@@ -211,8 +210,10 @@ class RangePQ(BatchSearchMixin):
         remains per-object at amortized ``O(log n)`` each.
 
         Raises:
-            KeyError: If any ID is already present (checked before any
-                mutation, so a failed call leaves the index unchanged).
+            KeyError: If any ID is already present.
+            ValueError: If an ID is repeated within ``ids``.  Both are
+                checked before any mutation, so a failed call leaves the
+                index unchanged.
         """
         ids = list(ids)
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
@@ -260,44 +261,6 @@ class RangePQ(BatchSearchMixin):
     # ------------------------------------------------------------------
     # Queries (Algorithms 1 and 2)
     # ------------------------------------------------------------------
-    def plan_query(self, lo: float, hi: float, *, fetch_mode: str = "guided"):
-        """Build the range-dependent part of a query (Alg. 1).
-
-        Decomposes ``[lo, hi]`` into its canonical cover and derives the
-        candidate clusters, in-range count, and per-cluster member
-        enumerator.  None of this depends on the query *vector*, so the
-        batch engine shares one plan across requests with the same range;
-        :meth:`query` is a thin wrapper over this plus SearchByCCenters.
-
-        Returns:
-            A :class:`~repro.core.batch.QueryPlan`.
-        """
-        if fetch_mode not in ("guided", "rank"):
-            raise ValueError(f"unknown fetch_mode {fetch_mode!r}")
-        with span("plan"):
-            with phase("decompose", metric=_DECOMPOSE_MS) as timer:
-                cover = decompose(self.tree, lo, hi)
-            decompose_ms = timer.ms
-            in_range = len(cover.singles) + sum(
-                sum(node.num.values()) for node in cover.full
-            )
-            clusters = sorted(cover_cluster_ids(cover)) if in_range else []
-        if fetch_mode == "guided":
-            members = lambda cluster: cover_iter_cluster(cover, cluster)
-        else:
-            members = lambda cluster: _rank_fetch_iter(cover, cluster)
-        return QueryPlan(
-            lo=float(lo),
-            hi=float(hi),
-            num_in_range=in_range,
-            coverage=in_range / max(len(self), 1),
-            clusters=clusters,
-            members=members,
-            chunked=False,
-            cover_nodes=cover.node_count,
-            decompose_ms=decompose_ms,
-        )
-
     def query(
         self,
         query_vector: np.ndarray,
@@ -328,19 +291,37 @@ class RangePQ(BatchSearchMixin):
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        plan = self.plan_query(lo, hi, fetch_mode=fetch_mode)
-        stats = plan.fresh_stats()
-        if plan.num_in_range == 0:
+        if fetch_mode not in ("guided", "rank"):
+            raise ValueError(f"unknown fetch_mode {fetch_mode!r}")
+        # Alg. 1: canonical cover of [lo, hi], then everything the range
+        # alone determines (in-range count, candidate clusters).
+        with span("plan"):
+            with phase("decompose", metric=_DECOMPOSE_MS) as timer:
+                cover = decompose(self.tree, lo, hi)
+            in_range = len(cover.singles) + sum(
+                sum(node.num.values()) for node in cover.full
+            )
+            clusters = sorted(cover_cluster_ids(cover)) if in_range else []
+        stats = QueryStats(
+            num_in_range=in_range,
+            cover_nodes=cover.node_count,
+            decompose_ms=timer.ms,
+        )
+        if in_range == 0:
             return QueryResult.empty(stats)
         if l_budget is None:
-            l_budget = self.l_policy.choose(plan.coverage)
+            l_budget = self.l_policy.choose(in_range / max(len(self), 1))
+        if fetch_mode == "guided":
+            members = lambda cluster: cover_iter_cluster(cover, cluster)
+        else:
+            members = lambda cluster: _rank_fetch_iter(cover, cluster)
         return search_by_coarse_centers(
             self.ivf,
             np.asarray(query_vector, dtype=np.float64),
             k,
             l_budget,
-            plan.clusters,
-            plan.members,
+            clusters,
+            members,
             stats,
         )
 
@@ -354,9 +335,8 @@ class RangePQ(BatchSearchMixin):
     ) -> list[QueryResult]:
         """Answer many ``(query, range)`` pairs; convenience wrapper.
 
-        Delegates to :meth:`batch_search` (plan sharing + batched ADC
-        kernels), whose per-request results are bitwise identical to
-        sequential :meth:`query` calls.
+        Delegates to :meth:`batch_search`, which runs :meth:`query` once
+        per pair.
 
         Args:
             query_vectors: Array of shape ``(q, d)``.

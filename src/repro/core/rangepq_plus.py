@@ -36,8 +36,7 @@ from ..ivf import IVFPQIndex
 from ..obs import histogram, phase, span
 from ..tree.wbt import BALANCE_EXEMPT_SIZE
 from .adaptive import AdaptiveLPolicy, LPolicy
-from .batch import QueryPlan
-from .results import QueryResult
+from .results import QueryResult, QueryStats
 from .search import search_by_coarse_centers
 
 __all__ = ["RangePQPlus", "HybridNode"]
@@ -410,6 +409,7 @@ class RangePQPlus(BatchSearchMixin):
 
         Raises:
             KeyError: If any ID is already present (checked up front).
+            ValueError: If an ID is repeated within ``ids`` (likewise).
         """
         ids = list(ids)
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
@@ -501,47 +501,6 @@ class RangePQPlus(BatchSearchMixin):
     # ------------------------------------------------------------------
     # Queries (Alg. 5)
     # ------------------------------------------------------------------
-    def plan_query(self, lo: float, hi: float):
-        """Build the range-dependent part of a query (Alg. 5 steps 1-2).
-
-        Mirrors :meth:`RangePQ.plan_query`: hybrid cover decomposition,
-        in-range count, candidate clusters, and a chunked member enumerator
-        — everything Alg. 5 derives from the range alone, shareable across
-        a batch of requests with the same ``(lo, hi)``.
-
-        Returns:
-            A :class:`~repro.core.batch.QueryPlan` (``chunked=True``).
-        """
-        with span("plan"):
-            with phase("decompose", metric=_DECOMPOSE_MS) as timer:
-                cover = self._decompose(lo, hi)
-            decompose_ms = timer.ms
-            in_range = sum(
-                len(members) for members in cover.partial_members.values()
-            )
-            in_range += sum(node.bucket_len() for node in cover.full_buckets)
-            in_range += sum(
-                sum(node.num.values()) for node in cover.full_subtrees
-            )
-            clusters: set[int] = set(cover.partial_members)
-            for node in cover.full_subtrees:
-                clusters.update(node.sp)
-            for node in cover.full_buckets:
-                clusters.update(node.pn)
-        return QueryPlan(
-            lo=float(lo),
-            hi=float(hi),
-            num_in_range=in_range,
-            coverage=in_range / max(len(self), 1),
-            clusters=sorted(clusters),
-            members=lambda cluster: self._iter_cover_cluster_chunks(
-                cover, cluster
-            ),
-            chunked=True,
-            cover_nodes=cover.node_count,
-            decompose_ms=decompose_ms,
-        )
-
     def query(
         self,
         query_vector: np.ndarray,
@@ -557,19 +516,39 @@ class RangePQPlus(BatchSearchMixin):
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        plan = self.plan_query(lo, hi)
-        stats = plan.fresh_stats()
-        if plan.num_in_range == 0:
+        # Alg. 5 steps 1-2: hybrid cover, then everything the range alone
+        # determines (in-range count, candidate clusters).
+        with span("plan"):
+            with phase("decompose", metric=_DECOMPOSE_MS) as timer:
+                cover = self._decompose(lo, hi)
+            in_range = sum(
+                len(members) for members in cover.partial_members.values()
+            )
+            in_range += sum(node.bucket_len() for node in cover.full_buckets)
+            in_range += sum(
+                sum(node.num.values()) for node in cover.full_subtrees
+            )
+            clusters: set[int] = set(cover.partial_members)
+            for node in cover.full_subtrees:
+                clusters.update(node.sp)
+            for node in cover.full_buckets:
+                clusters.update(node.pn)
+        stats = QueryStats(
+            num_in_range=in_range,
+            cover_nodes=cover.node_count,
+            decompose_ms=timer.ms,
+        )
+        if in_range == 0:
             return QueryResult.empty(stats)
         if l_budget is None:
-            l_budget = self.l_policy.choose(plan.coverage)
+            l_budget = self.l_policy.choose(in_range / max(len(self), 1))
         return search_by_coarse_centers(
             self.ivf,
             np.asarray(query_vector, dtype=np.float64),
             k,
             l_budget,
-            plan.clusters,
-            plan.members,
+            sorted(clusters),
+            lambda cluster: self._iter_cover_cluster_chunks(cover, cluster),
             stats,
             chunked=True,
         )

@@ -61,8 +61,7 @@ def search_by_coarse_centers(
             (e.g. one list per bucket) instead of individual IDs; draining
             whole chunks avoids per-object Python iteration and is how
             RangePQ+ exploits its bucket layout.
-        table: Optional precomputed ADC table for ``query`` (the batch
-            engine passes tables built once per unique query); defaults to
+        table: Optional precomputed ADC table for ``query``; defaults to
             ``ivf.distance_table(query)``.
         center_dist: Optional precomputed ``(K,)`` center-distance array
             for ``query``; defaults to ``ivf.center_distances(query)``.

@@ -535,60 +535,6 @@ def figure_12(profile: ScaleProfile, seed: int = 0):
     return headers, rows
 
 
-def figure_batch(profile: ScaleProfile, seed: int = 0):
-    """Extension: batched-serving throughput vs batch size (RangePQ+).
-
-    Replays a Zipf-skewed request stream (popular query vectors, a few
-    popular range templates) through ``batch_search`` at several batch
-    sizes; results are bitwise identical to sequential queries at every
-    size, so the table isolates the amortization win (shared plans,
-    request coalescing, the ADC-table cache).
-    """
-    from .latency import measure_batch_throughput
-
-    dataset = "sift"
-    workload = make_workload(dataset, profile, seed=seed)
-    indexes = build_indexes(
-        workload, methods=("RangePQ+",), seed=seed, k=profile.k
-    )
-    index = indexes["RangePQ+"]
-    rng = np.random.default_rng(seed + 1)
-    num_templates = 4
-    templates = [
-        workload.range_for_coverage(coverage, rng)
-        for coverage in (0.01, 0.05, 0.10, 0.40)[:num_templates]
-    ]
-    pool = workload.queries
-    num_requests = 8 * max(len(pool), 16)
-    weights = np.arange(1, len(pool) + 1, dtype=np.float64) ** -1.3
-    weights /= weights.sum()
-    picks = rng.choice(len(pool), size=num_requests, p=weights)
-    requests = pool[picks]
-    ranges = [
-        templates[int(t)]
-        for t in rng.integers(0, num_templates, num_requests)
-    ]
-    points = measure_batch_throughput(
-        index, requests, ranges, profile.k, batch_sizes=(1, 8, 64)
-    )
-    baseline = points[0].qps or 1.0
-    headers = [
-        "batch", "qps", "speedup", "cache_hit_rate", "plans", "plan_shared"
-    ]
-    rows = [
-        [
-            point.batch_size,
-            round(point.qps, 1),
-            f"{point.qps / baseline:.2f}x",
-            f"{point.table_cache_hit_rate:.1%}",
-            point.num_plans,
-            point.shared_plan_queries,
-        ]
-        for point in points
-    ]
-    return headers, rows
-
-
 FIGURES: dict[str, Callable] = {
     "3": figure_3,
     "4": figure_4,
@@ -602,12 +548,6 @@ FIGURES: dict[str, Callable] = {
     "12": figure_12,
 }
 
-#: Extension figures (beyond the paper); runnable by id but excluded from
-#: ``--figure all``, which regenerates only the paper's figures.
-EXTRA_FIGURES: dict[str, Callable] = {
-    "batch": figure_batch,
-}
-
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point: print one figure's series (or all of them)."""
@@ -617,11 +557,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--figure",
         default="all",
-        choices=[*FIGURES, *EXTRA_FIGURES, "all"],
-        help=(
-            "Figure number to regenerate (default: all). Extension figures "
-            "(e.g. 'batch') run only when named explicitly."
-        ),
+        choices=[*FIGURES, "all"],
+        help="Figure number to regenerate (default: all).",
     )
     parser.add_argument(
         "--scale",
@@ -645,9 +582,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     selected = list(FIGURES) if args.figure == "all" else [args.figure]
     render = format_markdown if args.markdown else format_table
     for figure_id in selected:
-        function = FIGURES.get(figure_id) or EXTRA_FIGURES[figure_id]
-        label = "Figure" if figure_id in FIGURES else "Extension"
-        print(f"\n=== {label} {figure_id} — {function.__doc__.splitlines()[0]}")
+        function = FIGURES[figure_id]
+        print(f"\n=== Figure {figure_id} — {function.__doc__.splitlines()[0]}")
         print(f"    (scale={profile.name}, n={profile.n}, seed={args.seed})")
         headers, rows = function(profile, seed=args.seed)
         print(render(headers, rows))

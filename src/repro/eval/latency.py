@@ -15,7 +15,6 @@ clamped to the observed ``[min, max]``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,12 +22,7 @@ import numpy as np
 
 from ..obs import Histogram, phase
 
-__all__ = [
-    "LatencyReport",
-    "measure_latencies",
-    "BatchThroughputPoint",
-    "measure_batch_throughput",
-]
+__all__ = ["LatencyReport", "measure_latencies"]
 
 
 @dataclass(frozen=True)
@@ -108,96 +102,3 @@ def measure_latencies(
         max_ms=hist.max,
         qps=hist.count / total_seconds if total_seconds > 0 else 0.0,
     )
-
-
-@dataclass(frozen=True)
-class BatchThroughputPoint:
-    """Throughput of one workload replay at a fixed batch size.
-
-    Attributes:
-        batch_size: Requests per ``batch_search`` call.
-        num_queries: Total requests replayed.
-        wall_s: Total wall time across all batches.
-        qps: ``num_queries / wall_s``.
-        table_cache_hit_rate: ADC-table cache hit rate over the replay
-            (0.0 for indexes without an IVF-level cache).
-        num_plans: Range plans built across the replay (planner path only).
-        shared_plan_queries: Requests that reused an in-batch plan.
-    """
-
-    batch_size: int
-    num_queries: int
-    wall_s: float
-    qps: float
-    table_cache_hit_rate: float
-    num_plans: int
-    shared_plan_queries: int
-
-
-def measure_batch_throughput(
-    index,
-    queries: np.ndarray,
-    ranges: Sequence[tuple[float, float]],
-    k: int,
-    *,
-    batch_sizes: Sequence[int] = (1, 8, 64, 256),
-    clear_caches: bool = True,
-) -> list[BatchThroughputPoint]:
-    """Replay one workload through ``batch_search`` at several batch sizes.
-
-    The same ``(query, range)`` stream is split into consecutive batches of
-    each size, so every configuration does identical logical work; only the
-    amortization opportunity changes.  With ``clear_caches`` (default) the
-    index's IVF caches are emptied before each configuration, making the
-    comparison cold-start fair — cross-batch cache hits then reflect
-    repetition *within* the workload, not leftovers from a previous run.
-
-    Args:
-        index: Any index exposing ``batch_search`` (see
-            :class:`repro.baselines.base.BatchSearchMixin`).
-        queries: Array of shape ``(q, d)`` — the request stream, in order.
-        ranges: One ``(lo, hi)`` per request.
-        k: Neighbors per request.
-        batch_sizes: Configurations to measure, in the order reported.
-        clear_caches: Clear the IVF-level caches before each configuration.
-
-    Returns:
-        One :class:`BatchThroughputPoint` per batch size.
-    """
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if len(queries) != len(ranges):
-        raise ValueError(f"{len(queries)} queries but {len(ranges)} ranges")
-    if len(queries) == 0:
-        raise ValueError("need at least one query")
-    ranges = list(ranges)
-    points: list[BatchThroughputPoint] = []
-    for batch_size in batch_sizes:
-        if batch_size < 1:
-            raise ValueError(f"batch sizes must be >= 1, got {batch_size}")
-        if clear_caches and hasattr(getattr(index, "ivf", None), "clear_caches"):
-            index.ivf.clear_caches()
-        hits = misses = plans = shared = 0
-        start = time.perf_counter()
-        for lo_idx in range(0, len(ranges), batch_size):
-            hi_idx = min(lo_idx + batch_size, len(ranges))
-            result = index.batch_search(
-                queries[lo_idx:hi_idx], ranges[lo_idx:hi_idx], k
-            )
-            hits += result.stats.table_cache_hits
-            misses += result.stats.table_cache_misses
-            plans += result.stats.num_plans
-            shared += result.stats.shared_plan_queries
-        wall_s = time.perf_counter() - start
-        lookups = hits + misses
-        points.append(
-            BatchThroughputPoint(
-                batch_size=batch_size,
-                num_queries=len(ranges),
-                wall_s=wall_s,
-                qps=len(ranges) / wall_s if wall_s > 0 else 0.0,
-                table_cache_hit_rate=hits / lookups if lookups else 0.0,
-                num_plans=plans,
-                shared_plan_queries=shared,
-            )
-        )
-    return points

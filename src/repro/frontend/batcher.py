@@ -1,12 +1,10 @@
 """Deadline-aware micro-batching: the front door's coalescing tick.
 
-The serving layer's batch engine (:func:`repro.core.batch.execute_batch`)
-answers a group of queries far cheaper than the same queries one at a
-time — shared range plans, coalesced duplicates, cached ADC tables — and
-stays bitwise identical to serial execution.  The micro-batcher is the
-asyncio-side counterpart of the thread service's read combiner: it holds
-arriving queries for one short *tick* so they coalesce, then hands the
-group to an executor in one call.
+A group of queries handed to ``IndexService.query_batch`` costs one
+executor hop and one read-lock hold instead of one each, and its answers
+are the serial ones (inside the engine every member still runs its own
+``index.query``).  The micro-batcher holds arriving queries for one short
+*tick* so they coalesce, then hands the group to an executor in one call.
 
 The tick length is **p99-aware**: :class:`BatchWindowPolicy` derives the
 window from the observed batch-execution latency histogram

@@ -488,7 +488,7 @@ class FrontendServer:
 
     def _query_batch_sync(self, requests: list[_Request]) -> list:
         """Executor thread: answer a query group, one service call per
-        ``(k, l_budget)`` parameter class (mirrors the read combiner).
+        ``(k, l_budget)`` parameter class.
 
         When the service's ``query_batch`` accepts ``timeout_s``, the
         minimum remaining budget across the group's deadlines is passed

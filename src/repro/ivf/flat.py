@@ -18,7 +18,12 @@ import numpy as np
 
 from ..quantization import squared_l2
 from .coarse import CoarseQuantizer, default_num_clusters
-from .ivfpq import IVFSearchResult, _InvertedList, _top_k
+from .ivfpq import (
+    IVFSearchResult,
+    _InvertedList,
+    _reject_repeated_ids,
+    _top_k,
+)
 
 __all__ = ["IVFFlatIndex"]
 
@@ -114,6 +119,7 @@ class IVFFlatIndex:
         for oid in ids:
             if oid in self._row_of:
                 raise KeyError(f"object {oid} already present")
+        _reject_repeated_ids(ids)
         clusters = self.coarse.assign(vectors)
         self._grow(len(ids), vectors.shape[1])
         for oid, cluster, vector in zip(ids, clusters, vectors):

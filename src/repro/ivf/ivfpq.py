@@ -17,6 +17,7 @@ Design notes:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -71,6 +72,17 @@ class IVFSearchResult:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+def _reject_repeated_ids(ids: list) -> None:
+    """Raise if an ID occurs twice within one ``add`` batch.
+
+    Called before any mutation: a repeat would otherwise overwrite the
+    first occurrence's row mapping and leak its row.
+    """
+    if len(set(ids)) != len(ids):
+        repeated = next(oid for oid, n in Counter(ids).items() if n > 1)
+        raise ValueError(f"object {repeated} repeated within one batch")
 
 
 class _InvertedList:
@@ -273,6 +285,11 @@ class IVFPQIndex:
 
         Returns:
             The coarse cluster ID assigned to each inserted object.
+
+        Raises:
+            KeyError: If an ID is already present.
+            ValueError: If an ID is repeated within ``ids``.  Both are
+                checked before any mutation.
         """
         if self.coarse is None:
             raise RuntimeError("index is not trained; call train() first")
@@ -285,6 +302,7 @@ class IVFPQIndex:
         for oid in ids:
             if oid in self._row_of:
                 raise KeyError(f"object {oid} already present")
+        _reject_repeated_ids(ids)
         clusters = self.coarse.assign(vectors)
         codes = self.pq.encode(vectors)
         self._grow(len(ids))
@@ -356,55 +374,6 @@ class IVFPQIndex:
             _TABLE_HITS.inc()
         return table
 
-    def distance_tables(self, queries: np.ndarray) -> list[np.ndarray]:
-        """ADC tables for a whole query matrix, cache-deduplicated.
-
-        Unique uncached rows are computed in one vectorized pass
-        (:meth:`ProductQuantizer.distance_tables`, bitwise identical per row
-        to the single-query kernel); cached and duplicate rows share one
-        array object.  Cache stats count one lookup per *unique* query.
-
-        Args:
-            queries: Array of shape ``(q, d)``.
-
-        Returns:
-            List of ``q`` read-only ``(M, Z)`` tables, aligned with the rows.
-        """
-        queries = np.atleast_2d(np.ascontiguousarray(queries, dtype=np.float64))
-        num = queries.shape[0]
-        tables: list[np.ndarray | None] = [None] * num
-        seen: dict[bytes, int] = {}
-        pending: dict[bytes, list[int]] = {}
-        for i in range(num):
-            key = queries[i].tobytes()
-            first = seen.get(key)
-            if first is not None:  # in-batch duplicate: share, no new lookup
-                if tables[first] is not None:
-                    tables[i] = tables[first]
-                else:
-                    pending[key].append(i)
-                continue
-            seen[key] = i
-            table = self._table_cache.get(key)
-            if table is not None:
-                _TABLE_HITS.inc()
-                tables[i] = table
-            else:
-                pending[key] = [i]
-        if pending:
-            _TABLE_MISSES.inc(len(pending))
-            first_positions = [positions[0] for positions in pending.values()]
-            fresh = self.pq.distance_tables(queries[first_positions])
-            for j, (key, positions) in enumerate(pending.items()):
-                # Copy each row out so a cached table does not pin the whole
-                # (u, M, Z) batch block in memory.
-                table = fresh[j].copy()
-                table.setflags(write=False)
-                self._table_cache.put(key, table)
-                for i in positions:
-                    tables[i] = table
-        return tables
-
     def adc_for_ids(self, table: np.ndarray, ids: Sequence[int]) -> np.ndarray:
         """Approximate distances for specific object IDs.
 
@@ -450,36 +419,6 @@ class IVFPQIndex:
         else:
             _CENTER_HITS.inc()
         return dist
-
-    def center_distances_batch(self, queries: np.ndarray) -> list[np.ndarray]:
-        """Center distances for a whole query matrix, cache-deduplicated.
-
-        Each unique row goes through the *single-query* kernel
-        (:meth:`CoarseQuantizer.center_distances`) rather than one big
-        ``(q, K)`` GEMM: BLAS matmul results are shape-dependent in the last
-        bits, and the batch path must stay bitwise identical to sequential
-        queries.  The kernel is ``O(K·d)`` per unique query — cheap next to
-        the ADC table — and repeats are served from the LRU cache.
-
-        Args:
-            queries: Array of shape ``(q, d)``.
-
-        Returns:
-            List of ``q`` read-only ``(K,)`` distance arrays.
-        """
-        queries = np.atleast_2d(np.ascontiguousarray(queries, dtype=np.float64))
-        num = queries.shape[0]
-        dists: list[np.ndarray | None] = [None] * num
-        seen: dict[bytes, int] = {}
-        for i in range(num):
-            key = queries[i].tobytes()
-            first = seen.get(key)
-            if first is not None:
-                dists[i] = dists[first]
-                continue
-            seen[key] = i
-            dists[i] = self.center_distances(queries[i])
-        return dists
 
     def probe_order(
         self, query: np.ndarray, *, limit: int | None = None

@@ -12,10 +12,15 @@ are retrained, since the cached arrays are only valid for one codebook set.
 Cached values are stored as read-only ndarrays shared between hits; callers
 must not mutate them.  A capacity of 0 disables caching (every ``get`` is a
 miss and ``put`` is a no-op) while keeping the stats counters meaningful.
+
+The cache is shared by every reader thread of an
+:class:`~repro.service.IndexService`, so ``get``/``put``/``clear``/``stats``
+serialize on one mutex.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable
@@ -60,18 +65,24 @@ class LRUCache:
         capacity: Maximum number of entries kept; 0 disables the cache.
     """
 
-    __slots__ = ("_capacity", "_entries", "hits", "misses", "evictions",
-                 "invalidations")
+    __slots__ = ("_capacity", "_entries", "_mutex", "hits", "misses",
+                 "evictions", "invalidations")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self._capacity = capacity
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
+        self._mutex = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
+
+    def __reduce__(self):
+        # A lock cannot be copied or pickled, and dropping entries is always
+        # correct: a copy is a cold cache of the same capacity.
+        return (type(self), (self._capacity,))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -85,36 +96,40 @@ class LRUCache:
 
     def get(self, key: Hashable):
         """Return the cached value for ``key`` (marking it recent), else None."""
-        value = self._entries.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return value
+        with self._mutex:
+            value = self._entries.get(key)
+            if value is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return value
 
     def put(self, key: Hashable, value) -> None:
         """Store ``value`` under ``key``, evicting the LRU entry if full."""
         if self._capacity == 0:
             return
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self._capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+        with self._mutex:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self._capacity:
+                self._entries.popitem(last=False)
+                self.evictions += 1
 
     def clear(self) -> None:
         """Drop every entry (counted as one invalidation); stats persist."""
-        self._entries.clear()
-        self.invalidations += 1
+        with self._mutex:
+            self._entries.clear()
+            self.invalidations += 1
 
     def stats(self) -> CacheStats:
         """Snapshot of the counters; see :class:`CacheStats`."""
-        return CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            invalidations=self.invalidations,
-            size=len(self._entries),
-            capacity=self._capacity,
-        )
+        with self._mutex:
+            return CacheStats(
+                hits=self.hits,
+                misses=self.misses,
+                evictions=self.evictions,
+                invalidations=self.invalidations,
+                size=len(self._entries),
+                capacity=self._capacity,
+            )

@@ -2,7 +2,7 @@
 
 ``python -m repro metrics-dump`` renders the process-wide registry in both
 formats.  With ``--smoke`` it first drives a tiny but complete serving
-workload in-process — WAL-backed service with fsync, combined reads, a
+workload in-process — WAL-backed service with fsync, single reads, a
 batch, writes, maintenance, a snapshot — then dumps, and exits non-zero
 unless the query histograms, WAL fsync timings, and cache hit-rates are
 all populated.  CI runs that as the observability gate.
@@ -63,7 +63,7 @@ def to_json(registry: MetricsRegistry | None = None) -> str:
 def run_smoke_workload(*, seed: int = 0) -> None:
     """Drive one tiny end-to-end serving workload to populate the registry.
 
-    Exercises every instrumented surface: combined single reads, a caller
+    Exercises every instrumented surface: single reads, a caller
     batch, WAL-durable writes with fsync, a rebuild-triggering delete
     storm, maintenance (cache hit-rate gauges), and a snapshot.
     """

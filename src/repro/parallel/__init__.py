@@ -19,7 +19,7 @@ zero-copy, no pickling of vector data:
   partial top-k bitwise-identically to in-process execution, degrading
   to serial when workers are unavailable.
 
-Integration points: ``execute_batch(..., parallel=executor)`` and
+Integration points: ``ParallelQueryExecutor.search_batch(...)`` and
 ``RangeShardedService.attach_parallel(...)``.  See ``docs/parallel.md``.
 """
 

@@ -210,43 +210,6 @@ class ProductQuantizer:
         diff = codebooks - sub_queries[:, None, :]
         return np.einsum("mzd,mzd->mz", diff, diff)
 
-    def distance_tables(self, queries: np.ndarray) -> np.ndarray:
-        """ADC tables for a whole query matrix in one vectorized pass.
-
-        Row ``i`` is bitwise identical to ``distance_table(queries[i])``:
-        both reduce the same ``(M, Z, d/M)`` difference tensor over its last
-        axis with the same einsum contraction, so the floating-point
-        summation order per entry is unchanged — the batched path can
-        substitute for per-query tables without perturbing results.
-
-        Args:
-            queries: Array of shape ``(q, d)``.
-
-        Returns:
-            Array of shape ``(q, M, Z)``.
-        """
-        codebooks = self._require_trained()
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or queries.shape[1] != self.dim:
-            raise ValueError(
-                f"expected queries of shape (q, {self.dim}), got {queries.shape}"
-            )
-        num = queries.shape[0]
-        tables = np.empty(
-            (num, self.num_subspaces, self.num_codewords), dtype=np.float64
-        )
-        # Block the pass so the (block, M, Z, d/M) difference tensor stays a
-        # few MB regardless of batch size.
-        block = 128
-        for start in range(0, num, block):
-            stop = min(start + block, num)
-            sub = queries[start:stop].reshape(
-                stop - start, self.num_subspaces, self.subspace_dim
-            )
-            diff = codebooks[None, :, :, :] - sub[:, :, None, :]
-            np.einsum("qmzd,qmzd->qmz", diff, diff, out=tables[start:stop])
-        return tables
-
     def adc(self, query: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Asymmetric distances from ``query`` to the given PQ codes.
 

@@ -3,8 +3,8 @@
 Turns the RangePQ / RangePQ+ library into a servable engine:
 
 * :class:`~repro.service.engine.IndexService` — snapshot-isolated reads
-  (combined through :func:`repro.core.batch.execute_batch`), serialized
-  writes, deferred maintenance, WAL durability.
+  sharing an RW lock's read side, serialized writes, deferred
+  maintenance, WAL durability.
 * :class:`~repro.service.engine.GlobalLockService` — the one-big-lock
   baseline the throughput benchmark compares against.
 * :class:`~repro.service.maintenance.MaintenanceDaemon` — background

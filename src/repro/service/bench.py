@@ -3,12 +3,12 @@
 Builds one index, deep-copies it so both services serve bitwise-identical
 state, then drives each with the same closed-loop workload (N reader
 threads + M writer threads, Zipf-shaped query pool, fixed range
-templates).  On a single core the snapshot service's edge comes from
-amortization, not parallelism: combined reads share range decompositions,
-coalesce duplicate requests, and reuse cached ADC tables inside one
-``execute_batch`` call, while deferred maintenance keeps ``O(n log n)``
-rebuilds out of every client's critical path.  The baseline pays list
-price for each of those per request.
+templates).  Both services run the same ``index.query`` per read; what
+differs is that the snapshot service's readers share the RW lock's read
+side and its deferred maintenance keeps ``O(n log n)`` rebuilds out of
+every client's critical path.  Under the GIL that is worth about nothing
+in aggregate QPS (EXPERIMENTS.md), so the gates are consistency and
+failed requests and the ratio is printed, not gated.
 
 Entry points: ``python -m repro serve-bench`` and
 ``benchmarks/bench_service_throughput.py`` (``--smoke`` for CI).
@@ -38,27 +38,15 @@ class ServeBenchResult:
         baseline: The :class:`LoadReport` of the global-lock service.
         service: The :class:`LoadReport` of the snapshot service.
         speedup: ``service.total_qps / baseline.total_qps``.
-        read_batches: Combined-read batches the snapshot service executed.
-        combined_reads_per_batch: Mean reads answered per lock acquisition.
     """
 
-    def __init__(
-        self,
-        baseline: LoadReport,
-        service: LoadReport,
-        read_batches: int,
-        reads: int,
-    ) -> None:
+    def __init__(self, baseline: LoadReport, service: LoadReport) -> None:
         self.baseline = baseline
         self.service = service
         self.speedup = (
             service.total_qps / baseline.total_qps
             if baseline.total_qps > 0
             else float("inf")
-        )
-        self.read_batches = read_batches
-        self.combined_reads_per_batch = (
-            reads / read_batches if read_batches else 0.0
         )
 
     @property
@@ -88,7 +76,6 @@ def run_serve_bench(
     num_templates: int = 8,
     zipf_s: float = 1.3,
     k: int = 10,
-    max_batch: int = 64,
     seed: int = 0,
     open_loop_qps: float | None = None,
     verbose: bool = True,
@@ -143,9 +130,7 @@ def run_serve_bench(
         open_loop_qps=open_loop_qps,
     )
 
-    service = IndexService(
-        index, defer_maintenance=True, max_batch=max_batch
-    )
+    service = IndexService(index, defer_maintenance=True)
     with MaintenanceDaemon(service, interval_s=0.02):
         service_report = run_load(
             service,
@@ -156,12 +141,7 @@ def run_serve_bench(
             open_loop_qps=open_loop_qps,
         )
 
-    result = ServeBenchResult(
-        baseline_report,
-        service_report,
-        read_batches=service.stats.read_batches,
-        reads=service.stats.reads,
-    )
+    result = ServeBenchResult(baseline_report, service_report)
     if verbose:
         print(
             f"service throughput — n={n}, d={dim}, {num_readers} readers + "
@@ -171,19 +151,14 @@ def run_serve_bench(
         )
         print("\n--- global-lock baseline ---")
         print(baseline_report.format())
-        print("\n--- snapshot service (combined reads, deferred maint.) ---")
+        print("\n--- snapshot service (shared reads, deferred maint.) ---")
         print(service_report.format())
-        print(
-            f"\nspeedup         {result.speedup:8.2f}x total QPS"
-            f"  ({result.combined_reads_per_batch:.1f} reads/batch over "
-            f"{result.read_batches} combined batches)"
-        )
+        print(f"\nspeedup         {result.speedup:8.2f}x total QPS")
     return result
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI for the comparison; exit 1 on violations (or, in the full
-    profile, when the snapshot service fails to beat the baseline).
+    """CLI for the comparison; exit 1 on violations or failed requests.
 
     With ``--net``, delegates to the network bench
     (:mod:`repro.frontend.bench`): the asyncio front door is driven over
@@ -211,7 +186,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--templates", type=int, default=8)
     parser.add_argument("--zipf", type=float, default=1.3)
     parser.add_argument("--k", type=int, default=10)
-    parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--open-qps",
@@ -224,8 +198,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny CI profile (n=1200, 4 readers, 1s per side); checks "
-        "consistency only, not the speedup",
+        help="tiny CI profile (n=1200, 4 readers, 1s per side)",
     )
     args = parser.parse_args(argv)
     if args.smoke:
@@ -242,7 +215,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         num_templates=args.templates,
         zipf_s=args.zipf,
         k=args.k,
-        max_batch=args.max_batch,
         seed=args.seed,
         open_loop_qps=args.open_qps,
     )
@@ -251,11 +223,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     if result.failed:
         print(f"FAIL: {result.failed} request(s) failed outright")
-        return 1
-    if not args.smoke and result.speedup <= 1.0:
-        print(
-            f"FAIL: snapshot service did not beat the baseline "
-            f"({result.speedup:.2f}x)"
-        )
         return 1
     return 0

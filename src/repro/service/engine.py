@@ -6,12 +6,8 @@ server with three planes:
 * **Read plane** — queries run under the shared side of a writer-preferring
   reader-writer lock, so every read observes a *snapshot*: the index state
   of some committed write version, never a half-applied mutation.
-  Concurrent reads are additionally *combined*: requests that arrive while
-  another reader is executing are grouped and driven through
-  :func:`repro.core.batch.execute_batch` in one lock acquisition, so they
-  share range plans, coalesce duplicates, and hit the ADC-table cache —
-  per-request results stay bitwise identical to sequential ``query`` calls
-  at the same version.
+  Concurrent reads share the read side; each one is exactly
+  ``index.query`` at the version it captured under the lock.
 * **Write plane** — inserts and deletes serialize on the exclusive side of
   the lock; each committed call bumps the service version and (when a WAL
   is attached) appends durable records *after* the in-memory apply
@@ -139,8 +135,8 @@ class ServiceStats:
 
     Attributes:
         reads: Read requests answered (one per query, batched or not).
-        read_batches: Combined-read batches executed (lock acquisitions on
-            the read plane via the combiner).
+        read_batches: Read-lock acquisitions that answered queries (one
+            per ``query``, one per ``query_batch``).
         writes: Committed write calls (each bumped the version once).
         maintenance_runs: Background/explicit maintenance cycles that did
             work (rebuild and/or snapshot).
@@ -167,102 +163,6 @@ class ServiceStats:
                 setattr(self, name, getattr(self, name) + delta)
 
 
-class _PendingRead:
-    """One in-flight read request parked in the combiner."""
-
-    __slots__ = (
-        "vector",
-        "lo",
-        "hi",
-        "k",
-        "l_budget",
-        "event",
-        "result",
-        "version",
-        "error",
-    )
-
-    def __init__(self, vector, lo, hi, k, l_budget) -> None:
-        self.vector = vector
-        self.lo = lo
-        self.hi = hi
-        self.k = k
-        self.l_budget = l_budget
-        self.event = threading.Event()
-        self.result: QueryResult | None = None
-        self.version = -1
-        self.error: BaseException | None = None
-
-
-class _ReadCombiner:
-    """Group concurrent read requests into shared-plan batches.
-
-    The first thread to arrive while no batch is running becomes the
-    *leader*: it drains everything pending (itself included), executes the
-    group through ``execute_batch`` under a single read-lock acquisition,
-    and publishes each request's result.  Followers wait on their event.
-    Once the leader's own request is answered it *hands leadership off* to
-    the oldest still-pending follower instead of serving forever, so under
-    sustained closed-loop load every thread leads at most one round and no
-    caller is starved.  Natural batching — whatever piles up while a batch
-    executes forms the next batch — costs no artificial delay when
-    uncontended.
-    """
-
-    def __init__(self, runner, *, max_batch: int = 64) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self._runner = runner
-        self._max_batch = max_batch
-        self._mutex = threading.Lock()
-        self._pending: list[_PendingRead] = []
-        self._leader_active = False
-
-    def submit(self, request: _PendingRead) -> _PendingRead:
-        """Enqueue one request and block until its result is published."""
-        with self._mutex:
-            self._pending.append(request)
-            lead = not self._leader_active
-            if lead:
-                self._leader_active = True
-        while True:
-            if lead:
-                self._lead(request)
-                break
-            request.event.wait()
-            if request.result is not None or request.error is not None:
-                break
-            # Woken without a result: leadership takeover.
-            request.event.clear()
-            lead = True
-        if request.error is not None:
-            raise request.error
-        return request
-
-    def _lead(self, own: _PendingRead) -> None:
-        """Serve batches until ``own`` is answered, then hand off."""
-        while True:
-            with self._mutex:
-                batch = self._pending[: self._max_batch]
-                del self._pending[: len(batch)]
-            if batch:
-                try:
-                    self._runner(batch)
-                finally:
-                    for request in batch:
-                        request.event.set()
-            if own.result is not None or own.error is not None:
-                with self._mutex:
-                    if self._pending:
-                        # Promote the oldest pending follower: its event is
-                        # set with no result, which its submit loop reads
-                        # as "you are the leader now".
-                        self._pending[0].event.set()
-                    else:
-                        self._leader_active = False
-                return
-
-
 class IndexService:
     """Concurrent serving wrapper around one range-filtered index.
 
@@ -287,7 +187,6 @@ class IndexService:
         snapshot_every: Write a WAL snapshot after this many committed
             writes (checked by the maintenance plane); ``None`` disables
             periodic snapshots.
-        max_batch: Largest combined read batch.
         read_only: Replica apply mode — the public write plane
             (``insert``/``delete`` and friends) raises, and state only
             advances through :meth:`apply_records`, fed by a replication
@@ -306,7 +205,6 @@ class IndexService:
         admission: AdmissionController | None = None,
         defer_maintenance: bool = True,
         snapshot_every: int | None = None,
-        max_batch: int = 64,
         read_only: bool = False,
     ) -> None:
         if read_only and wal_dir is not None:
@@ -324,9 +222,6 @@ class IndexService:
         self._maintenance_wakeup: threading.Event | None = None
         self._closed = False
         self.stats = ServiceStats()
-        self._combiner = _ReadCombiner(
-            self._execute_read_batch, max_batch=max_batch
-        )
         if defer_maintenance and hasattr(index, "auto_rebuild"):
             index.auto_rebuild = False
         self._wal: WriteAheadLog | None = None
@@ -419,14 +314,13 @@ class IndexService:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         vector = np.asarray(query_vector, dtype=np.float64)
+        budget = {} if l_budget is None else {"l_budget": l_budget}
         with phase("service_read", metric=_READ_MS):
-            with self._admit("read"):
-                request = _PendingRead(
-                    vector, float(lo), float(hi), k, l_budget
-                )
-                self._combiner.submit(request)
-        assert request.result is not None
-        return request.result, request.version
+            with self._admit("read"), self._lock.read_locked():
+                version = self._version
+                result = self._index.query(vector, lo, hi, k, **budget)
+        self.stats.bump(reads=1, read_batches=1)
+        return result, version
 
     def query_batch(
         self,
@@ -444,40 +338,6 @@ class IndexService:
                 )
         self.stats.bump(reads=len(result), read_batches=1)
         return result
-
-    def _execute_read_batch(self, batch: list[_PendingRead]) -> None:
-        """Run one combined batch under a single read-lock acquisition."""
-        try:
-            with self._lock.read_locked():
-                version = self._version
-                # execute_batch takes one (k, l_budget) per call, so the
-                # combined batch is partitioned into parameter groups; all
-                # groups run under the same lock hold => same snapshot.
-                groups: dict[tuple[int, int | None], list[int]] = {}
-                for position, request in enumerate(batch):
-                    groups.setdefault(
-                        (request.k, request.l_budget), []
-                    ).append(position)
-                for (k, l_budget), positions in groups.items():
-                    queries = np.asarray(
-                        [batch[i].vector for i in positions], dtype=np.float64
-                    )
-                    ranges = [(batch[i].lo, batch[i].hi) for i in positions]
-                    result = execute_batch(
-                        self._index, queries, ranges, k, l_budget=l_budget
-                    )
-                    for request_index, query_result in zip(
-                        positions, result.results
-                    ):
-                        batch[request_index].result = query_result
-                        batch[request_index].version = version
-        except BaseException as error:  # repro: noqa-R004 - republished
-            # Any failure must reach every parked caller, not the combiner.
-            for request in batch:
-                if request.result is None:
-                    request.error = error
-            return
-        self.stats.bump(reads=len(batch), read_batches=1)
 
     # ------------------------------------------------------------------
     # Write plane (serialized)

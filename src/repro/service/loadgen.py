@@ -61,10 +61,9 @@ class WorkloadSpec:
         query_pool: Optional ``(m, dim)`` array of reusable query vectors;
             readers draw from it (Zipf-ranked when ``zipf_s > 0``) instead
             of sampling fresh Gaussians — the serving-shaped stream where
-            request coalescing and the ADC-table cache pay off.
+            the ADC-table cache pays off.
         range_templates: Optional fixed ``(lo, hi)`` pool; readers draw
-            ranges from it instead of deriving them from a sampled center,
-            so concurrent requests can share one range decomposition.
+            ranges from it instead of deriving them from a sampled center.
     """
 
     dim: int = 32

@@ -1,11 +1,9 @@
 """``batch_search`` must be bitwise identical to sequential ``query`` calls.
 
-The batch engine shares ADC tables, center distances, query plans, and even
-whole results (request coalescing) across a batch — every one of those
-optimizations is only admissible because it reproduces the sequential
-output *exactly*, bit for bit.  These tests pin that contract for every
-index class in the repo, including under lazy deletion and after the
-deletion-triggered global rebuild of RangePQ+.
+These tests pin that contract for every index class in the repo,
+including under lazy deletion and after the deletion-triggered global
+rebuild of RangePQ+, together with the batch counters: each total is the
+sum of the per-request stats.
 """
 
 from __future__ import annotations
@@ -65,8 +63,7 @@ def assert_batch_matches_sequential(index, queries, ranges, k):
     for i, (lo, hi) in enumerate(ranges):
         expected = index.query(queries[i], lo, hi, k)
         np.testing.assert_array_equal(batch[i].ids, expected.ids)
-        # Bitwise identity, not allclose: the batched kernels must reduce
-        # in the same floating-point order as the sequential ones.
+        # Bitwise identity, not allclose.
         np.testing.assert_array_equal(batch[i].distances, expected.distances)
     return batch
 
@@ -102,45 +99,40 @@ def test_batch_matches_sequential_after_global_rebuild():
 
 
 class TestBatchStats:
-    def test_plan_sharing_and_coalescing_counters(self):
+    def test_batch_counters(self):
         vectors, attrs, rng = make_dataset(seed=17)
         index = RangePQPlus.build(vectors, attrs, epsilon=24, **BUILD_KWARGS)
         queries, ranges = make_requests(vectors, rng, num=32)
-        batch = index.batch_search(queries, ranges, 10)
-        stats = batch.stats
+        stats = index.batch_search(queries, ranges, 10).stats
         assert stats.num_queries == 32
-        # 4 range templates across 32 requests → at most 4 distinct plans,
-        # and the repeats must register as shared.
-        assert 1 <= stats.num_plans <= 4
-        assert stats.shared_plan_queries > 0
-        # make_requests plants at least one exact duplicate request.
-        assert stats.coalesced_queries >= 1
-        assert (
-            stats.num_plans + stats.shared_plan_queries + stats.coalesced_queries
-            == stats.num_queries
-        )
         assert stats.wall_ms > 0.0
         assert stats.qps > 0.0
+        # Every request ran inside the batch, so the phases fit in the wall
+        # (tests/test_stats_accounting.py pins each total to its sum).
+        assert (
+            stats.decompose_ms + stats.table_ms + stats.rank_ms
+            + stats.fetch_ms + stats.adc_ms
+        ) <= stats.wall_ms
 
     def test_cache_hits_on_repeat_batch(self):
         vectors, attrs, rng = make_dataset(seed=19)
         index = RangePQ.build(vectors, attrs, **BUILD_KWARGS)
         queries, ranges = make_requests(vectors, rng)
+        # Requests over the empty range never reach the ADC table.
+        looked_up = [
+            query.tobytes()
+            for query, span in zip(queries, ranges)
+            if span != (200.0, 300.0)
+        ]
         index.ivf.clear_caches()
         first = index.batch_search(queries, ranges, 10)
-        assert first.stats.table_cache_hits == 0
-        assert first.stats.table_cache_misses > 0
+        # Cold cache: one miss per distinct vector, a hit per repeat.
+        assert first.stats.table_cache_misses == len(set(looked_up))
+        assert first.stats.table_cache_hits == len(looked_up) - len(set(looked_up))
         second = index.batch_search(queries, ranges, 10)
         assert second.stats.table_cache_misses == 0
-        assert second.stats.table_cache_hits == first.stats.table_cache_misses
+        assert second.stats.table_cache_hits == len(looked_up)
         assert second.stats.table_cache_hit_rate == 1.0
-
-    def test_coalesced_duplicates_share_result_objects(self):
-        vectors, attrs, rng = make_dataset(seed=23)
-        index = RangePQ.build(vectors, attrs, **BUILD_KWARGS)
-        queries, ranges = make_requests(vectors, rng)
-        batch = index.batch_search(queries, ranges, 10)
-        assert batch[1] is batch[0]
 
     def test_empty_range_reports_zero_l_used(self):
         vectors, attrs, rng = make_dataset(seed=29)

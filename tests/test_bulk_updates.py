@@ -50,6 +50,16 @@ class TestInsertMany:
         assert len(index) == size_before
         assert 2000 not in index
 
+    def test_id_repeated_within_batch_rejected_atomically(self, index_and_data):
+        index, vectors, attrs, _ = index_and_data
+        before = visible_ids(index, 0.0, 50.0)
+        with pytest.raises(ValueError, match="object 1000 repeated"):
+            index.insert_many([1000, 1000], vectors[:2], attrs[:2])
+        assert len(index) == 400
+        assert 1000 not in index
+        assert visible_ids(index, 0.0, 50.0) == before
+        index.check_invariants()
+
     def test_length_mismatch_rejected(self, index_and_data):
         index, vectors, attrs, _ = index_and_data
         with pytest.raises(ValueError):

@@ -71,6 +71,15 @@ class TestIVFPQStorage:
         with pytest.raises(KeyError):
             built_index.add([0], blob_data[:1])
 
+    def test_id_repeated_within_batch_rejected_before_mutation(
+        self, built_index, blob_data
+    ):
+        with pytest.raises(ValueError, match="object 1002 repeated"):
+            built_index.add([1001, 1002, 1002], blob_data[:3])
+        assert len(built_index) == 600
+        assert 1001 not in built_index and 1002 not in built_index
+        built_index.check_invariants()
+
     def test_remove(self, built_index):
         cluster = built_index.cluster_of(42)
         built_index.remove([42])

@@ -44,6 +44,17 @@ class TestBasics:
         with pytest.raises(KeyError):
             built.add([0], vectors[:1])
 
+    def test_id_repeated_within_batch_rejected_before_mutation(self, data):
+        vectors, _ = data
+        index = IVFFlatIndex(num_clusters=6, seed=0)
+        index.train(vectors)
+        index.add(range(100), vectors[:100])
+        with pytest.raises(ValueError, match="object 902 repeated"):
+            index.add([901, 902, 902], vectors[:3])
+        assert len(index) == 100
+        assert 901 not in index and 902 not in index
+        index.check_invariants()
+
     def test_remove_and_readd(self, data):
         vectors, _ = data
         index = IVFFlatIndex(num_clusters=6, seed=0)

@@ -109,25 +109,15 @@ class TestBatch:
                 assert np.array_equal(batch[i].distances, single.distances)
 
     def test_execute_batch_parallel_backend(self, index, dataset):
+        """The parallel batch path answers what the serial one does."""
         _, _, queries = dataset
         ranges = [RANGES[i % len(RANGES)] for i in range(len(queries))]
         serial = execute_batch(index, queries, ranges, k=10)
         with ParallelQueryExecutor(index, num_workers=2) as executor:
-            parallel = execute_batch(
-                index, queries, ranges, k=10, parallel=executor
-            )
-        for want, got in zip(serial.results, parallel.results):
+            parallel = executor.search_batch(queries, ranges, 10)
+        for want, got in zip(serial.results, parallel):
             assert np.array_equal(want.ids, got.ids)
             assert np.array_equal(want.distances, got.distances)
-
-    def test_execute_batch_rejects_foreign_executor(self, index, dataset):
-        vectors, attrs, queries = dataset
-        other = RangePQ.build(vectors, attrs, **BUILD)
-        with ParallelQueryExecutor(other, num_workers=1) as executor:
-            with pytest.raises(ValueError, match="different index"):
-                execute_batch(
-                    index, queries[:1], RANGES[:1], k=10, parallel=executor
-                )
 
 
 class TestDegradation:

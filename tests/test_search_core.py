@@ -119,8 +119,8 @@ class TestSearchByCoarseCenters:
         assert stats.table_ms > 0.0
 
     def test_precomputed_table_and_centers_identical(self, ivf, blob_data_module):
-        # The batch engine passes table= / center_dist=; results must be
-        # bitwise identical to letting the function compute them itself.
+        # Passing table= / center_dist= must be bitwise identical to
+        # letting the function compute them itself.
         query = blob_data_module[4]
         baseline = search_by_coarse_centers(
             ivf, query, 7, 100, list(range(5)),

@@ -1,4 +1,4 @@
-"""Tests for the serving engine: RWLock, read combining, admission,
+"""Tests for the serving engine: RWLock, shared-side reads, admission,
 deferred maintenance, and the global-lock baseline."""
 
 from __future__ import annotations
@@ -124,12 +124,12 @@ class TestIndexServiceReads:
             np.testing.assert_allclose(direct.distances, served.distances)
 
     def test_concurrent_queries_match_direct(self, dataset, index):
-        """Combined reads stay bitwise identical to sequential queries."""
+        """Overlapping reads stay bitwise identical to sequential queries."""
         _, _, queries = dataset
         expected = [
             index.query(q, 10.0, 90.0, k=10, l_budget=10**6) for q in queries
         ]
-        service = IndexService(index, max_batch=4)
+        service = IndexService(index)
         results: list[QueryResult | None] = [None] * len(queries)
         barrier = threading.Barrier(len(queries), timeout=5)
 
@@ -170,7 +170,7 @@ class TestIndexServiceReads:
     def test_read_error_propagates(self, index):
         service = IndexService(index)
         with pytest.raises(ValueError):
-            # Wrong dimensionality surfaces to the caller, not the combiner.
+            # Wrong dimensionality surfaces to the caller.
             service.query(np.zeros(3), 0.0, 1.0, k=5)
         # The service keeps working afterwards.
         service.query(np.zeros(16), 0.0, 100.0, k=5)
@@ -198,6 +198,22 @@ class TestIndexServiceWrites:
         service.delete_many(ids)
         assert not any(oid in service for oid in ids)
         assert service.version == 2  # each batch is one committed step
+
+    def test_insert_many_repeated_id_commits_and_logs_nothing(
+        self, index, tmp_path
+    ):
+        rng = np.random.default_rng(2)
+        service = IndexService(index, wal_dir=tmp_path)
+        size = len(service)
+        with pytest.raises(ValueError, match="object 9200 repeated"):
+            service.insert_many(
+                [9_200, 9_200], rng.standard_normal((2, 16)), [1.0, 2.0]
+            )
+        assert (service.version, len(service)) == (0, size)
+        assert 9_200 not in service
+        assert service.wal.records_since(0) == []
+        service.check_invariants()
+        service.close()
 
 
 class TestDeferredMaintenance:
@@ -267,9 +283,6 @@ class _SlowIndex:
             for q, (lo, hi) in zip(queries, ranges)
         ]
         return results
-
-    def plan_query(self, lo, hi, **kwargs):  # pragma: no cover - unused
-        raise NotImplementedError
 
 
 class TestAdmission:

@@ -2,10 +2,8 @@
 
 These pin the accumulation contracts fixed in the observability PR:
 ``search_by_coarse_centers`` *accumulates* work counters (so one stats
-object can aggregate several calls, as the scatter-gather router and the
-batch engine rely on), and the batch engine counts each shared plan's
-``decompose_ms`` once in the batch totals rather than once per sharing
-request.
+object can aggregate several calls, as the scatter-gather router relies
+on), and the batch totals are the sums of the per-request phase timers.
 """
 
 from __future__ import annotations
@@ -113,47 +111,21 @@ class TestBatchDecomposeAccounting:
         queries = rng.normal(size=(3, 16))
         return vectors, attrs, queries
 
-    @pytest.mark.parametrize("cls", [RangePQ, RangePQPlus])
-    def test_shared_plan_decompose_counted_once(
-        self, dataset, cls, monkeypatch
-    ):
+    def test_distinct_ranges_all_counted(self, dataset):
         vectors, attrs, queries = dataset
-        index = cls.build(vectors, attrs, **BUILD)
-        original = index.plan_query
-
-        def pinned_plan_query(lo, hi):
-            plan = original(lo, hi)
-            plan.decompose_ms = 1000.0
-            return plan
-
-        monkeypatch.setattr(index, "plan_query", pinned_plan_query)
-        # Three DISTINCT query vectors sharing one range: one plan, two
-        # shared-plan requests, zero coalesced requests.
-        batch = index.batch_search(queries, [(10.0, 40.0)] * 3, k=5)
-        assert batch.stats.num_plans == 1
-        assert batch.stats.shared_plan_queries == 2
-        assert batch.stats.coalesced_queries == 0
-        # The batch performed ONE decomposition.
-        assert batch.stats.decompose_ms == 1000.0
-        # Per-request stats still carry the shared plan's time (for
-        # per-query introspection), which is exactly why naively summing
-        # them would have triple-counted.
-        for result in batch.results:
-            assert result.stats.decompose_ms == 1000.0
-
-    def test_distinct_ranges_all_counted(self, dataset, monkeypatch):
-        vectors, attrs, queries = dataset
-        index = RangePQ.build(vectors, attrs, **BUILD)
-        original = index.plan_query
-
-        def pinned_plan_query(lo, hi):
-            plan = original(lo, hi)
-            plan.decompose_ms = 1000.0
-            return plan
-
-        monkeypatch.setattr(index, "plan_query", pinned_plan_query)
         ranges = [(0.0, 20.0), (10.0, 40.0), (20.0, 49.0)]
-        batch = index.batch_search(queries, ranges, k=5)
-        assert batch.stats.num_plans == 3
-        assert batch.stats.shared_plan_queries == 0
-        assert batch.stats.decompose_ms == 3000.0
+        for cls in (RangePQ, RangePQPlus):
+            index = cls.build(vectors, attrs, **BUILD)
+            batch = index.batch_search(queries, ranges, k=5)
+            assert batch.stats.num_queries == 3
+            for timer in (
+                "decompose_ms", "table_ms", "rank_ms", "fetch_ms", "adc_ms"
+            ):
+                per_request = [getattr(r.stats, timer) for r in batch.results]
+                assert all(ms > 0.0 for ms in per_request)
+                assert getattr(batch.stats, timer) == pytest.approx(
+                    sum(per_request)
+                )
+            assert batch.stats.num_candidates == sum(
+                r.stats.num_candidates for r in batch.results
+            )

@@ -1,6 +1,10 @@
-"""Tests for the query-keyed LRU caches behind the batch execution engine."""
+"""Tests for the query-keyed LRU caches shared by concurrent readers."""
 
 from __future__ import annotations
+
+import copy
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -52,6 +56,55 @@ class TestLRUCache:
     def test_empty_hit_rate_is_zero(self):
         assert LRUCache(4).stats().hit_rate == 0.0
 
+    def test_concurrent_get_put_keeps_counters_exact(self):
+        """Readers of one IndexService share this cache: ``get``'s lookup
+        followed by ``move_to_end`` must not race an evicting ``put``
+        (``KeyError`` before the mutex), and no counter update is lost."""
+        cache = LRUCache(4)
+        workers, ops = 4, 200_000
+        errors: list[BaseException] = []
+
+        def hammer(seed: int) -> None:
+            state = seed
+            try:
+                for step in range(ops):
+                    state = (state * 1103515245 + 12345) % 2**31
+                    key = (state >> 8) % 8
+                    if step & 1:
+                        cache.put(key, state)
+                    else:
+                        cache.get(key)
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(seed,))
+                for seed in range(1, workers + 1)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        stats = cache.stats()
+        assert stats.hits + stats.misses == workers * ops // 2
+        assert stats.size <= 4
+
+    def test_deepcopy_is_a_cold_cache_of_the_same_capacity(self):
+        cache = LRUCache(4)
+        cache.put("a", 1)
+        clone = copy.deepcopy(cache)
+        assert clone.capacity == 4
+        assert len(clone) == 0
+        clone.put("b", 2)
+        assert "b" not in cache
+
 
 @pytest.fixture(scope="module")
 def trained_ivf():
@@ -75,30 +128,9 @@ class TestIVFCaches:
         second = ivf.distance_table(vectors[0])
         assert second is first  # same read-only object, not a recompute
         assert not first.flags.writeable
+        np.testing.assert_array_equal(first, ivf.pq.distance_table(vectors[0]))
         assert ivf.table_cache.hits == 1
         assert ivf.table_cache.misses == 1
-
-    def test_batch_tables_match_per_query(self, trained_ivf):
-        ivf, vectors, rng = trained_ivf
-        ivf.clear_caches()
-        queries = vectors[rng.integers(0, len(vectors), size=7)]
-        queries[3] = queries[1]  # in-batch duplicate
-        ivf.distance_table(queries[0])  # pre-warm one entry → mixed hits/misses
-        tables = ivf.distance_tables(queries)
-        assert len(tables) == len(queries)
-        for i, query in enumerate(queries):
-            np.testing.assert_array_equal(tables[i], ivf.pq.distance_table(query))
-            assert not tables[i].flags.writeable
-        assert tables[3] is tables[1]
-
-    def test_batch_center_distances_match_per_query(self, trained_ivf):
-        ivf, vectors, rng = trained_ivf
-        ivf.clear_caches()
-        queries = vectors[rng.integers(0, len(vectors), size=5)]
-        batch = ivf.center_distances_batch(queries)
-        ivf.clear_caches()
-        for i, query in enumerate(queries):
-            np.testing.assert_array_equal(batch[i], ivf.center_distances(query))
 
     def test_retrain_invalidates_caches(self, trained_ivf):
         _, vectors, _ = trained_ivf
