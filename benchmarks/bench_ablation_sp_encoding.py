@@ -48,7 +48,7 @@ def query_without_sp(index, query, lo, hi, k):
         k,
         l_budget,
         sorted(groups),
-        lambda cluster: iter(groups[cluster]),
+        lambda cluster, limit: groups[cluster][:limit],
         QueryStats(),
     )
 

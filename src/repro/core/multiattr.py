@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .. import kernels
 from .rangepq_plus import RangePQPlus
 from .results import QueryResult, QueryStats
 from .search import search_by_coarse_centers
@@ -164,7 +165,7 @@ class MultiAttrRangePQ:
             k,
             l_budget,
             sorted(clusters),
-            members,
+            lambda cluster, limit: kernels.drain(members(cluster), limit),
             stats,
         )
 

@@ -17,10 +17,12 @@ Typical usage::
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
+from .. import kernels
 from ..baselines.base import BatchSearchMixin
 from ..ivf import IVFPQIndex
 from ..obs import histogram, phase, span
@@ -28,7 +30,7 @@ from ..tree import (
     RangeTree,
     cover_cluster_ids,
     cover_find_kth_in_cluster,
-    cover_iter_cluster,
+    cover_take_cluster,
     decompose,
 )
 from .adaptive import AdaptiveLPolicy, LPolicy
@@ -280,11 +282,13 @@ class RangePQ(BatchSearchMixin):
             k: Number of neighbors requested.
             l_budget: Override for ``L``; defaults to the configured policy
                 applied to the range's coverage.
-            fetch_mode: ``"guided"`` (default) walks each cover subtree once
-                per cluster in ``O(log n + output)``; ``"rank"`` is the
+            fetch_mode: ``"guided"`` (default) slices each cluster's run
+                (two bisects, ``O(log n + output)``); ``"rank"`` is the
                 paper-literal ``FetchNewObject`` that issues one ``O(log n)``
-                rank query per object (Alg. 2).  Both return identical
-                objects; the rank mode exists for the fetch-path ablation.
+                rank query per object over the ``num`` aggregates (Alg. 2).
+                Both return identical objects in identical order; the rank
+                mode is the reference the tests and the fetch-path ablation
+                compare against.
 
         Returns:
             A :class:`QueryResult`; empty if nothing matches the filter.
@@ -298,9 +302,7 @@ class RangePQ(BatchSearchMixin):
         with span("plan"):
             with phase("decompose", metric=_DECOMPOSE_MS) as timer:
                 cover = decompose(self.tree, lo, hi)
-            in_range = len(cover.singles) + sum(
-                sum(node.num.values()) for node in cover.full
-            )
+            in_range = cover.object_count
             clusters = sorted(cover_cluster_ids(cover)) if in_range else []
         stats = QueryStats(
             num_in_range=in_range,
@@ -312,16 +314,18 @@ class RangePQ(BatchSearchMixin):
         if l_budget is None:
             l_budget = self.l_policy.choose(in_range / max(len(self), 1))
         if fetch_mode == "guided":
-            members = lambda cluster: cover_iter_cluster(cover, cluster)
+            take = partial(cover_take_cluster, cover)
         else:
-            members = lambda cluster: _rank_fetch_iter(cover, cluster)
+            take = lambda cluster, limit: kernels.drain(
+                _rank_fetch_iter(cover, cluster), limit
+            )
         return search_by_coarse_centers(
             self.ivf,
             np.asarray(query_vector, dtype=np.float64),
             k,
             l_budget,
             clusters,
-            members,
+            take,
             stats,
         )
 

@@ -31,6 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .. import kernels
 from ..baselines.base import BatchSearchMixin
 from ..ivf import IVFPQIndex
 from ..obs import histogram, phase, span
@@ -548,9 +549,10 @@ class RangePQPlus(BatchSearchMixin):
             k,
             l_budget,
             sorted(clusters),
-            lambda cluster: self._iter_cover_cluster_chunks(cover, cluster),
+            lambda cluster, limit: kernels.drain_chunks(
+                self._iter_cover_cluster_chunks(cover, cluster), limit
+            ),
             stats,
-            chunked=True,
         )
 
     def _decompose(self, lo: float, hi: float) -> _HybridCover:

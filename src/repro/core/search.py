@@ -5,12 +5,12 @@ given the candidate set ``C`` of coarse clusters that contain in-range
 objects, and a way to enumerate each cluster's in-range members, retrieve up
 to ``L`` objects in ascending order of *cluster-center* distance to the query
 vector and rank them by asymmetric (ADC) distance.  This module implements
-that phase once, parameterized by per-cluster iterators.
+that phase once, parameterized by a per-cluster ``take`` callable.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,12 +34,8 @@ def search_by_coarse_centers(
     k: int,
     l_budget: int,
     candidate_clusters: Sequence[int],
-    cluster_members: Callable[[int], Iterable],
+    take: Callable[[int, int], list[int]],
     stats: QueryStats,
-    *,
-    chunked: bool = False,
-    table: np.ndarray | None = None,
-    center_dist: np.ndarray | None = None,
 ) -> QueryResult:
     """Retrieve the top-``k`` in-range neighbors from candidate clusters.
 
@@ -51,20 +47,13 @@ def search_by_coarse_centers(
             (Alg. 2 line 11).
         candidate_clusters: The set ``C`` of coarse-cluster IDs that contain
             at least one in-range object.
-        cluster_members: Callable yielding the in-range object IDs of one
-            cluster (RangePQ passes a tree-guided iterator, RangePQ+ a
-            bucket/hash-table iterator).
+        take: ``take(cluster, limit)`` returns the first ``limit``
+            in-range object IDs of one cluster, in the cluster's fetch
+            order (RangePQ slices the cluster's run, RangePQ+ drains its
+            bucket chunks).
         stats: Mutated in place with work counters.  All phase timers
             *and* work counters accumulate (``+=``; ``l_used`` takes the
             max), so one stats object can aggregate several calls.
-        chunked: When True, ``cluster_members`` yields *sequences* of IDs
-            (e.g. one list per bucket) instead of individual IDs; draining
-            whole chunks avoids per-object Python iteration and is how
-            RangePQ+ exploits its bucket layout.
-        table: Optional precomputed ADC table for ``query``; defaults to
-            ``ivf.distance_table(query)``.
-        center_dist: Optional precomputed ``(K,)`` center-distance array
-            for ``query``; defaults to ``ivf.center_distances(query)``.
 
     Returns:
         A :class:`QueryResult` with up to ``k`` objects.
@@ -78,14 +67,12 @@ def search_by_coarse_centers(
     # Alg. 2 lines 1-4: rank candidate clusters by center distance.
     with phase("rank", metric=_RANK_MS) as timer:
         clusters = np.asarray(list(candidate_clusters), dtype=np.int64)
-        if center_dist is None:
-            center_dist = ivf.center_distances(query)
+        center_dist = ivf.center_distances(query)
         clusters = clusters[np.argsort(center_dist[clusters], kind="stable")]
     stats.rank_ms += timer.ms
 
     with phase("table", metric=_TABLE_MS) as timer:
-        if table is None:
-            table = ivf.distance_table(query)
+        table = ivf.distance_table(query)
     stats.table_ms += timer.ms
 
     # Alg. 2 lines 5-13: drain clusters nearest-first until L objects.
@@ -94,10 +81,9 @@ def search_by_coarse_centers(
     # deferred into one batched call after collection.
     remaining = l_budget
     collected: list[int] = []
-    take = kernels.drain_chunks if chunked else kernels.drain
     with phase("fetch", metric=_FETCH_MS) as timer:
         for cluster in clusters:
-            batch = take(cluster_members(int(cluster)), remaining)
+            batch = take(int(cluster), remaining)
             if not batch:
                 continue
             collected.extend(batch)

@@ -11,7 +11,8 @@ breakdowns for the space ablation.
 Conventions (documented in DESIGN.md §4):
 
 * object IDs, cluster IDs, counts: 4 B
-* attribute values, pointers: 8 B
+* attribute values, pointers: 8 B (RangePQ's tree links nodes by u32 pool
+  slot instead; its record is :data:`repro.tree.wbt.NODE_FIELDS`)
 * stored vector coordinates and codebook entries: float32, 4 B
 * PQ codes: 1 B per subspace for ``Z ≤ 256`` (2 B otherwise)
 """
@@ -24,7 +25,6 @@ import numpy as np
 
 from ..core.rangepq import RangePQ
 from ..core.rangepq_plus import RangePQPlus, _inorder as _hybrid_inorder
-from ..tree.wbt import _inorder as _tree_inorder
 
 __all__ = [
     "raw_data_bytes",
@@ -49,7 +49,8 @@ class MemoryBreakdown:
         pq_codes: Encoded vectors in the IVF layer.
         inverted_lists: Cluster membership (IDs + list bookkeeping).
         codebooks: PQ sub-codebooks plus coarse centers (training output).
-        tree_nodes: Fixed per-node record of the attribute tree.
+        tree_nodes: Fixed per-node record of the attribute tree (for
+            RangePQ also its 4 B per-object run entries).
         aggregates: ``SP``/``num`` entries — the term that separates
             RangePQ's ``O(n log K)`` from RangePQ+'s ``O(n)``.
         bucket_tables: RangePQ+ per-bucket hash tables and object records
@@ -104,12 +105,13 @@ def rangepq_breakdown(index: RangePQ) -> MemoryBreakdown:
     Matches :meth:`RangePQ.memory_bytes` in total.
     """
     pq_codes, inverted, codebooks = _ivf_components(index.ivf)
+    aggregates = 8 * index.tree.aux_entry_count()
     return MemoryBreakdown(
         pq_codes=pq_codes,
         inverted_lists=inverted,
         codebooks=codebooks,
-        tree_nodes=56 * index.tree.node_count,
-        aggregates=8 * index.tree.aux_entry_count(),
+        tree_nodes=index.tree.memory_bytes() - aggregates,
+        aggregates=aggregates,
         bucket_tables=0,
     )
 

@@ -19,7 +19,8 @@ reductions:
   ``limit`` replaces the full ``O(K log K)`` stable argsort with an
   ``O(K)`` partition plus an ``O(limit log limit)`` sort, reconstructing
   the stable tie order at the cut boundary explicitly so the prefix is
-  bit-identical to slicing the full stable sort.
+  bit-identical to slicing the full stable sort.  :func:`topk_order` and
+  :func:`top_k` are that prefix.
 * **C-level drains** — :func:`drain` uses ``itertools.islice`` to stop
   iterator consumption in C instead of a per-item Python loop.
 
@@ -41,13 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .reference import (
-    drain_chunks,
-    pairwise_squared_l2,
-    squared_l2,
-    top_k,
-    topk_order,
-)
+from .reference import drain_chunks, pairwise_squared_l2, squared_l2
 
 __all__ = [
     "squared_l2",
@@ -165,6 +160,19 @@ def stable_order(values: np.ndarray, limit: int | None = None) -> np.ndarray:
     ties = np.flatnonzero(values == boundary)[:need]
     prefix = np.concatenate([strict, ties])
     return prefix[np.argsort(values[prefix], kind="stable")]
+
+
+def top_k(
+    ids: np.ndarray, distances: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Select the ``k`` smallest distances, ascending, with matching IDs."""
+    order = topk_order(distances, k)
+    return ids[order], distances[order]
+
+
+def topk_order(distances: np.ndarray, k: int) -> np.ndarray:
+    """The stable argsort's first ``k`` indices, via :func:`stable_order`."""
+    return stable_order(distances, k)
 
 
 def drain(iterable: Iterable[int], limit: int | None) -> list[int]:

@@ -93,24 +93,19 @@ def top_k(
     ids: np.ndarray, distances: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Select the ``k`` smallest distances, ascending, with matching IDs."""
-    if k >= len(ids):
-        order = np.argsort(distances, kind="stable")
-        return ids[order], distances[order]
-    part = np.argpartition(distances, k - 1)[:k]
-    order = part[np.argsort(distances[part], kind="stable")]
+    order = topk_order(distances, k)
     return ids[order], distances[order]
 
 
 def topk_order(distances: np.ndarray, k: int) -> np.ndarray:
     """Index order of the ``k`` smallest distances (all of them if ``k >= n``).
 
-    Matches the rerank step of ``search_by_coarse_centers``: ties resolve
-    by ascending position (stable sort over the selected subset).
+    Matches the rerank step of ``search_by_coarse_centers``: exactly the
+    first ``k`` entries of the stable argsort, so ties resolve by ascending
+    position — also at the ``k``-th value, where an ``argpartition`` alone
+    would admit an arbitrary subset of the tied entries.
     """
-    if k < len(distances):
-        part = np.argpartition(distances, k - 1)[:k]
-        return part[np.argsort(distances[part], kind="stable")]
-    return np.argsort(distances, kind="stable")
+    return stable_order(distances, k)
 
 
 def stable_order(values: np.ndarray, limit: int | None = None) -> np.ndarray:

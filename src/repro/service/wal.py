@@ -63,6 +63,8 @@ WAL_NAME = "wal.log"
 # that, so the pattern must accept 12-or-more digits; sorting is numeric
 # (int seq), never lexical, so the padding is cosmetic only.
 _SNAPSHOT_PATTERN = re.compile(r"^snapshot-(\d{12,})\.npz$")
+#: Bytes per read when scanning the log; bounds a scan's memory.
+_READ_CHUNK = 1 << 16
 
 
 class WALError(RuntimeError):
@@ -233,52 +235,66 @@ class WalCursor:
             WALError: On mid-log corruption, a malformed record, or a
                 non-monotonic sequence number.
         """
+        for _, record in self._scan():
+            yield record
+
+    def _scan(self) -> Iterator[tuple[bytes, WalRecord]]:
+        """Yield ``(raw line, record)`` for each undelivered record.
+
+        Streams the file in :data:`_READ_CHUNK` pieces carrying the partial
+        last line over, and decodes one line at a time, so memory stays
+        bounded by one chunk plus one record whatever the log length.  A
+        line that fails to decode is held back as a possible torn tail; a
+        valid line after it proves mid-log corruption and raises.
+        """
         try:
-            with open(self.path, "rb") as handle:
-                stat = os.fstat(handle.fileno())
-                if self._inode is not None and (
-                    stat.st_ino != self._inode or stat.st_size < self._offset
-                ):
-                    # Truncation rewrite: new file, re-scan from the top.
-                    self._offset = 0
-                self._inode = stat.st_ino
-                handle.seek(self._offset)
-                data = handle.read()
+            handle = open(self.path, "rb")  # noqa: SIM115 - closed below
         except FileNotFoundError:
             return
-        self.bytes_read += len(data)
-        end = data.rfind(b"\n")
-        if end < 0:
-            return  # no complete record yet; keep the offset where it is
-        lines = data[: end + 1].split(b"\n")[:-1]
-        payloads = [_decode_bytes(line) for line in lines]
-        # A decode failure is a tolerated torn tail only while nothing
-        # valid follows it; otherwise the log is corrupt in the middle.
-        valid_until = len(payloads)
-        while valid_until > 0 and payloads[valid_until - 1] is None:
-            valid_until -= 1
-        if any(payload is None for payload in payloads[:valid_until]):
-            bad = payloads.index(None)
-            raise WALError(
-                f"{self.path}: corrupt record at byte offset "
-                f"{self._offset + sum(len(l) + 1 for l in lines[:bad])} is "
-                "followed by valid records; refusing an untrusted tail"
-            )
-        previous_seq: int | None = None
-        for line, payload in zip(lines[:valid_until], payloads[:valid_until]):
-            record = record_from_payload(payload, self.path)
-            if previous_seq is not None and record.seq <= previous_seq:
-                raise WALError(
-                    f"{self.path}: non-monotonic sequence {record.seq} "
-                    f"after {previous_seq}"
-                )
-            previous_seq = record.seq
-            self._offset += len(line) + 1
-            if record.seq <= self._last_seq:
-                continue  # already delivered before a truncation re-scan
-            self._last_seq = record.seq
-            self.records_read += 1
-            yield record
+        with handle:
+            stat = os.fstat(handle.fileno())
+            if self._inode is not None and (
+                stat.st_ino != self._inode or stat.st_size < self._offset
+            ):
+                # Truncation rewrite: new file, re-scan from the top.
+                self._offset = 0
+            self._inode = stat.st_ino
+            handle.seek(self._offset)
+            position = self._offset  # byte offset of the next line
+            torn_at: int | None = None
+            previous_seq: int | None = None
+            partial = b""
+            while chunk := handle.read(_READ_CHUNK):
+                self.bytes_read += len(chunk)
+                lines = (partial + chunk).split(b"\n")
+                partial = lines.pop()  # no newline yet: left for later
+                for line in lines:
+                    start = position
+                    position += len(line) + 1
+                    payload = _decode_bytes(line)
+                    if payload is None:
+                        if torn_at is None:
+                            torn_at = start
+                        continue
+                    if torn_at is not None:
+                        raise WALError(
+                            f"{self.path}: corrupt record at byte offset "
+                            f"{torn_at} is followed by valid records; "
+                            "refusing an untrusted tail"
+                        )
+                    record = record_from_payload(payload, self.path)
+                    if previous_seq is not None and record.seq <= previous_seq:
+                        raise WALError(
+                            f"{self.path}: non-monotonic sequence {record.seq} "
+                            f"after {previous_seq}"
+                        )
+                    previous_seq = record.seq
+                    self._offset = position
+                    if record.seq <= self._last_seq:
+                        continue  # already delivered before a truncation re-scan
+                    self._last_seq = record.seq
+                    self.records_read += 1
+                    yield line + b"\n", record
 
 
 class WriteAheadLog:
@@ -469,18 +485,23 @@ class WriteAheadLog:
 
         Holds the WAL mutex for the whole read-rewrite-swap: a record
         appended mid-rewrite would land in the *old* file and be lost by
-        the ``os.replace`` otherwise.
+        the ``os.replace`` otherwise.  Streams: the kept records' raw lines
+        are copied as they are scanned, so memory does not grow with the
+        log.
         """
         with self._mutex:
-            keep = list(self.cursor(after_seq=seq).poll())
             descriptor, temp_name = tempfile.mkstemp(
                 dir=self.directory, prefix=".wal.", suffix=".tmp"
             )
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                for record in keep:
-                    handle.write(_encode(record.payload()))
-                handle.flush()
-                os.fsync(handle.fileno())
+            try:
+                with os.fdopen(descriptor, "wb") as handle:
+                    for line, _ in self.cursor(after_seq=seq)._scan():
+                        handle.write(line)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+            except (OSError, WALError):
+                os.unlink(temp_name)
+                raise
             self._file.close()
             os.replace(temp_name, self.directory / WAL_NAME)
             self._file = open(  # noqa: SIM115 - lifetime == WAL lifetime

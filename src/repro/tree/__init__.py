@@ -6,10 +6,9 @@ from .augmented import (
     cover_cluster_ids,
     cover_count_in_cluster,
     cover_find_kth_in_cluster,
-    cover_iter_cluster,
+    cover_take_cluster,
     decompose,
     find_kth_in_cluster,
-    iter_cluster_objects,
     iter_range_objects,
 )
 from .wbt import BALANCE_EXEMPT_SIZE, RangeTree, TreeNode
@@ -24,8 +23,7 @@ __all__ = [
     "count_in_range",
     "iter_range_objects",
     "find_kth_in_cluster",
-    "iter_cluster_objects",
-    "cover_iter_cluster",
+    "cover_take_cluster",
     "cover_count_in_cluster",
     "cover_find_kth_in_cluster",
 ]

@@ -8,18 +8,19 @@ These are the tree-side halves of the paper's query algorithms:
 * :func:`find_kth_in_cluster` is ``FindObjectFromNode``: the rank query that
   fetches the ``k``-th object of a coarse cluster inside a subtree in
   ``O(log n)`` using the ``num`` aggregates.
-* :func:`iter_cluster_objects` is the guided traversal the search loop
-  actually consumes: it yields every valid object of one cluster beneath a
-  cover node, descending only into subtrees whose ``num`` count is positive —
-  ``O(log n + output)`` total, the same bound as repeated ``FetchNewObject``
-  rank queries but without restarting from the root per object.
+* :func:`cover_take_cluster` is the per-cluster drain the search loop
+  actually consumes: the in-range prefix of the cluster's run
+  (:attr:`RangeTree.runs`), found with two bisects and cut with one slice —
+  ``O(log n + output)`` with no per-object tree walk.  It returns exactly
+  the objects, in exactly the order, that repeated ``FetchNewObject`` rank
+  queries (:func:`cover_find_kth_in_cluster`) return.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterator
 
-from .. import kernels
 from .wbt import RangeTree, TreeNode
 
 __all__ = [
@@ -29,9 +30,6 @@ __all__ = [
     "count_in_range",
     "iter_range_objects",
     "find_kth_in_cluster",
-    "iter_cluster_objects",
-    "take_cluster_objects",
-    "cover_iter_cluster",
     "cover_take_cluster",
     "cover_count_in_cluster",
     "cover_find_kth_in_cluster",
@@ -42,24 +40,45 @@ class RangeCover:
     """Canonical cover of an attribute range (Theorem 3.1).
 
     Attributes:
-        full: Subtree roots whose valid attribute range is entirely inside
-            the query range (the paper's ``O_2``).
-        singles: Individual valid nodes inside the range whose subtree
-            spills outside it (the paper's ``O_1``).
+        pieces: ``(is_full, node)`` pairs in ``(attr, oid)`` key order.  A
+            full piece is a subtree root whose valid attribute range is
+            entirely inside the query range (the paper's ``O_2``); a single
+            piece is one valid node inside the range whose subtree spills
+            outside it (the paper's ``O_1``).
+        tree: The tree the cover was taken from; its runs serve
+            :func:`cover_take_cluster`.
     """
 
-    __slots__ = ("full", "singles", "lo", "hi")
+    __slots__ = ("pieces", "lo", "hi", "tree")
 
-    def __init__(self, lo: float, hi: float) -> None:
+    def __init__(self, tree: RangeTree, lo: float, hi: float) -> None:
+        self.tree = tree
         self.lo = lo
         self.hi = hi
-        self.full: list[TreeNode] = []
-        self.singles: list[TreeNode] = []
+        self.pieces: list[tuple[bool, TreeNode]] = []
+
+    @property
+    def full(self) -> list[TreeNode]:
+        """The fully contained subtree roots, in key order."""
+        return [node for is_full, node in self.pieces if is_full]
+
+    @property
+    def singles(self) -> list[TreeNode]:
+        """The singleton nodes, in key order."""
+        return [node for is_full, node in self.pieces if not is_full]
 
     @property
     def node_count(self) -> int:
         """Number of cover pieces (``O(log n)`` for a balanced tree)."""
-        return len(self.full) + len(self.singles)
+        return len(self.pieces)
+
+    @property
+    def object_count(self) -> int:
+        """Valid objects covered: ``num`` totals of full pieces plus singles."""
+        return sum(
+            sum(node.num.values()) if is_full else 1
+            for is_full, node in self.pieces
+        )
 
 
 def decompose(tree: RangeTree, lo: float, hi: float) -> RangeCover:
@@ -72,14 +91,19 @@ def decompose(tree: RangeTree, lo: float, hi: float) -> RangeCover:
 
     Returns:
         A :class:`RangeCover` whose pieces jointly contain *exactly* the
-        valid objects with attribute in ``[lo, hi]``.
+        valid objects with attribute in ``[lo, hi]``, listed in key order.
     """
-    cover = RangeCover(lo, hi)
-    _decompose(tree.root, lo, hi, cover)
+    cover = RangeCover(tree, lo, hi)
+    _decompose(tree.root, lo, hi, cover.pieces)
     return cover
 
 
-def _decompose(node: TreeNode | None, lo: float, hi: float, cover: RangeCover) -> None:
+def _decompose(
+    node: TreeNode | None,
+    lo: float,
+    hi: float,
+    pieces: list[tuple[bool, TreeNode]],
+) -> None:
     if node is None:
         return
     # No valid object of this subtree intersects the range (also true when
@@ -87,31 +111,29 @@ def _decompose(node: TreeNode | None, lo: float, hi: float, cover: RangeCover) -
     if node.rp < lo or node.lp > hi:
         return
     if lo <= node.lp and node.rp <= hi:
-        cover.full.append(node)
+        pieces.append((True, node))
         return
+    # In-order, so the pieces come out in key order.
+    _decompose(node.left, lo, hi, pieces)
     if node.valid and lo <= node.attr <= hi:
-        cover.singles.append(node)
-    _decompose(node.left, lo, hi, cover)
-    _decompose(node.right, lo, hi, cover)
+        pieces.append((False, node))
+    _decompose(node.right, lo, hi, pieces)
 
 
 def cover_cluster_ids(cover: RangeCover) -> set[int]:
     """Union of coarse-cluster IDs over the cover (the candidate set ``C``)."""
     clusters: set[int] = set()
-    for node in cover.full:
-        clusters.update(node.sp)
-    for node in cover.singles:
-        clusters.add(node.cluster)
+    for is_full, node in cover.pieces:
+        if is_full:
+            clusters.update(node.sp)
+        else:
+            clusters.add(node.cluster)
     return clusters
 
 
 def count_in_range(tree: RangeTree, lo: float, hi: float) -> int:
     """Number of valid objects with attribute in ``[lo, hi]`` (``O(log n)``)."""
-    cover = decompose(tree, lo, hi)
-    total = len(cover.singles)
-    for node in cover.full:
-        total += sum(node.num.values())
-    return total
+    return decompose(tree, lo, hi).object_count
 
 
 def iter_range_objects(tree: RangeTree, lo: float, hi: float) -> Iterator[TreeNode]:
@@ -172,108 +194,52 @@ def find_kth_in_cluster(node: TreeNode, cluster: int, rank: int) -> int:
     raise IndexError("aggregate counts inconsistent")  # pragma: no cover
 
 
-def iter_cluster_objects(node: TreeNode | None, cluster: int) -> Iterator[int]:
-    """Yield object IDs of ``cluster`` beneath ``node``, in attribute order.
-
-    Skips any subtree whose ``num`` count for the cluster is zero, so the
-    total cost is ``O(log n + output)``.  Implemented with an explicit
-    stack: nested generator delegation would charge ``O(depth)`` per
-    yielded object, turning the fetch loop's constant into the tree height.
-    """
-    stack: list[TreeNode] = []
-    current = node
-    while stack or current is not None:
-        while current is not None:
-            if current.num.get(cluster, 0) == 0:
-                current = None
-                break
-            stack.append(current)
-            current = current.left
-        if not stack:
-            return
-        visiting = stack.pop()
-        if visiting.valid and visiting.cluster == cluster:
-            yield visiting.oid
-        current = visiting.right
-
-
 # ----------------------------------------------------------------------
 # Per-cluster retrieval across a whole cover (what SearchByCCenters uses)
 # ----------------------------------------------------------------------
 def cover_count_in_cluster(cover: RangeCover, cluster: int) -> int:
     """Objects of ``cluster`` within the covered range."""
-    total = sum(node.count_in_cluster(cluster) for node in cover.full)
-    total += sum(1 for node in cover.singles if node.cluster == cluster)
-    return total
-
-
-def _ordered_pieces(cover: RangeCover) -> list[tuple[bool, TreeNode]]:
-    """Cover pieces merged into attribute order.
-
-    Pieces (full subtrees and singles) span disjoint attribute intervals,
-    so sorting full pieces by their minimum valid attribute (``lp``) and
-    singles by their own attribute produces a globally attribute-ascending
-    enumeration.  SearchByCCenters only needs *some* stable order per
-    cluster ("assuming that the objects are ordered based on nodes in
-    NS"), but a *canonical* one makes truncated drains independent of the
-    tree's shape — the parallel executor's shared attr-sorted layout
-    replays exactly this order, so budget-limited results stay bitwise
-    identical across serial and multiprocess execution.
-    """
-    pieces = [(True, node) for node in cover.full]
-    pieces += [(False, node) for node in cover.singles]
-    pieces.sort(key=lambda piece: piece[1].lp if piece[0] else piece[1].attr)
-    return pieces
-
-
-def take_cluster_objects(
-    node: TreeNode | None, cluster: int, limit: int | None
-) -> list[int]:
-    """First ``limit`` object IDs of ``cluster`` beneath ``node``, attr order.
-
-    The budget-limited form of :func:`iter_cluster_objects`: traversal
-    stops as soon as ``limit`` objects are drained, and the drain itself
-    runs through the :mod:`repro.kernels` dispatcher so backends can stop
-    iterator consumption at C level.
-    """
-    return kernels.drain(iter_cluster_objects(node, cluster), limit)
-
-
-def cover_iter_cluster(cover: RangeCover, cluster: int) -> Iterator[int]:
-    """Yield the object IDs of ``cluster`` across all cover pieces, in
-    attribute order (see :func:`_ordered_pieces`)."""
-    for is_full, node in _ordered_pieces(cover):
-        if is_full:
-            yield from iter_cluster_objects(node, cluster)
-        elif node.cluster == cluster:
-            yield node.oid
+    return sum(
+        node.count_in_cluster(cluster) if is_full else node.cluster == cluster
+        for is_full, node in cover.pieces
+    )
 
 
 def cover_take_cluster(
     cover: RangeCover, cluster: int, limit: int | None
 ) -> list[int]:
-    """First ``limit`` object IDs of ``cluster`` across the cover, attr order.
+    """First ``limit`` object IDs of ``cluster`` across the cover, in key order.
 
-    The budget-limited cluster drain of Alg. 2 as a single call: exactly
-    the prefix a fresh :func:`cover_iter_cluster` iterator would yield,
-    drained through the kernel dispatcher without over-walking the tree.
+    The budget-limited cluster drain of Alg. 2 as a single call: the
+    cluster's run is sorted by ``(attr, oid)``, so its in-range members are
+    one contiguous slice found by two bisects.  Valid while the tree is not
+    mutated after :func:`decompose` produced ``cover``.
     """
-    return kernels.drain(cover_iter_cluster(cover, cluster), limit)
+    run = cover.tree.runs.get(cluster)
+    if run is None:
+        return []
+    attrs, oids = run
+    start = bisect_left(attrs, cover.lo)
+    stop = bisect_right(attrs, cover.hi, start)
+    if limit is not None:
+        stop = min(stop, start + max(limit, 0))
+    return oids[start:stop]
 
 
 def cover_find_kth_in_cluster(cover: RangeCover, cluster: int, rank: int) -> int:
     """``FetchNewObject`` (Alg. 2 lines 15–27): the ``rank``-th object of
     ``cluster`` across the cover pieces, 1-based.
 
-    Walks the cover pieces taking a prefix sum over ``num`` counts, then
-    answers inside the owning subtree with :func:`find_kth_in_cluster`.
+    Walks the cover pieces in key order taking a prefix sum over ``num``
+    counts, then answers inside the owning subtree with
+    :func:`find_kth_in_cluster`.
 
     Raises:
         IndexError: If fewer than ``rank`` objects of the cluster are covered.
     """
     if rank < 1:
         raise IndexError(f"rank must be >= 1, got {rank}")
-    for is_full, node in _ordered_pieces(cover):
+    for is_full, node in cover.pieces:
         if is_full:
             count = node.count_in_cluster(cluster)
             if rank <= count:

@@ -567,6 +567,16 @@ def test_sanitizer_catches_corrupted_subtree_aggregate():
         wrapper.insert(10_000, rng.normal(size=8), 55.0)
 
 
+def test_sanitizer_catches_drifted_cluster_run():
+    tree = RangeTree()
+    tree.build([(float(i), i, i % 3) for i in range(40)])
+    wrapper = sanitized(tree, every=1)
+    attrs, oids = tree.runs[1]
+    oids[0], oids[1] = oids[1], oids[0]  # run no longer in (attr, oid) order
+    with pytest.raises(AssertionError, match="runs differ"):
+        wrapper.insert(100.0, 100, 0)
+
+
 def test_sanitizer_catches_balance_violation():
     tree = RangeTree()
     tree._maintain = lambda node: node  # disable repairs: tree degenerates

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core import RangePQPlus
 from repro.core.results import QueryStats
 from repro.core.search import search_by_coarse_centers
@@ -36,13 +37,17 @@ class TestChunkedEquivalence:
         )
         chunked = search_by_coarse_centers(
             index.ivf, query, 10**6, l_budget, clusters,
-            lambda c: index._iter_cover_cluster_chunks(cover, c),
-            QueryStats(), chunked=True,
+            lambda c, limit: kernels.drain_chunks(
+                index._iter_cover_cluster_chunks(cover, c), limit
+            ),
+            QueryStats(),
         )
         flat = search_by_coarse_centers(
             index.ivf, query, 10**6, l_budget, clusters,
-            lambda c: index._iter_cover_cluster(cover, c),
-            QueryStats(), chunked=False,
+            lambda c, limit: kernels.drain(
+                index._iter_cover_cluster(cover, c), limit
+            ),
+            QueryStats(),
         )
         assert set(chunked.ids.tolist()) == set(flat.ids.tolist())
         np.testing.assert_allclose(
@@ -56,8 +61,10 @@ class TestChunkedEquivalence:
         stats = QueryStats()
         result = search_by_coarse_centers(
             index.ivf, vectors[0], 10**6, 13, clusters,
-            lambda c: index._iter_cover_cluster_chunks(cover, c),
-            stats, chunked=True,
+            lambda c, limit: kernels.drain_chunks(
+                index._iter_cover_cluster_chunks(cover, c), limit
+            ),
+            stats,
         )
         assert stats.num_candidates == 13
 

@@ -30,7 +30,7 @@ class TestSearchByCoarseCenters:
     def test_empty_cluster_set(self, ivf, blob_data_module):
         stats = QueryStats()
         result = search_by_coarse_centers(
-            ivf, blob_data_module[0], 5, 100, [], lambda c: iter([]), stats
+            ivf, blob_data_module[0], 5, 100, [], lambda c, limit: [], stats
         )
         assert len(result) == 0
         assert stats.num_candidate_clusters == 0
@@ -46,7 +46,7 @@ class TestSearchByCoarseCenters:
         stats = QueryStats()
         result = search_by_coarse_centers(
             ivf, query, budget, budget, list(range(5)),
-            lambda c: iter(members[c]), stats,
+            lambda c, limit: members[c][:limit], stats,
         )
         assert set(result.ids.tolist()) <= set(members[nearest])
 
@@ -54,7 +54,7 @@ class TestSearchByCoarseCenters:
         stats = QueryStats()
         result = search_by_coarse_centers(
             ivf, blob_data_module[0], 10**6, 37, list(range(5)),
-            lambda c: iter(ivf.cluster_members(c).tolist()), stats,
+            lambda c, limit: ivf.cluster_members(c).tolist()[:limit], stats,
         )
         assert stats.num_candidates <= 37
 
@@ -62,7 +62,7 @@ class TestSearchByCoarseCenters:
         stats = QueryStats()
         result = search_by_coarse_centers(
             ivf, blob_data_module[5], 7, 10**6, list(range(5)),
-            lambda c: iter(ivf.cluster_members(c).tolist()), stats,
+            lambda c, limit: ivf.cluster_members(c).tolist()[:limit], stats,
         )
         assert len(result) == 7
         assert (np.diff(result.distances) >= 0).all()
@@ -76,7 +76,7 @@ class TestSearchByCoarseCenters:
         stats = QueryStats()
         search_by_coarse_centers(
             ivf, blob_data_module[0], 5, 50, [0, 1, 2],
-            lambda c: iter(ivf.cluster_members(c).tolist()), stats,
+            lambda c, limit: ivf.cluster_members(c).tolist()[:limit], stats,
         )
         assert stats.num_candidate_clusters == 3
         assert stats.l_used == 50
@@ -85,7 +85,7 @@ class TestSearchByCoarseCenters:
     def test_empty_iterators(self, ivf, blob_data_module):
         stats = QueryStats()
         result = search_by_coarse_centers(
-            ivf, blob_data_module[0], 5, 50, [0, 1], lambda c: iter([]), stats
+            ivf, blob_data_module[0], 5, 50, [0, 1], lambda c, limit: [], stats
         )
         assert len(result) == 0
 
@@ -94,7 +94,7 @@ class TestSearchByCoarseCenters:
         # even though no retrieval ran, skewing Fig. 11-12 averages.
         stats = QueryStats()
         search_by_coarse_centers(
-            ivf, blob_data_module[0], 5, 999, [], lambda c: iter([]), stats
+            ivf, blob_data_module[0], 5, 999, [], lambda c, limit: [], stats
         )
         assert stats.l_used == 0
 
@@ -106,34 +106,17 @@ class TestSearchByCoarseCenters:
         for _ in range(2):
             search_by_coarse_centers(
                 ivf, blob_data_module[0], 5, 50, [0, 1, 2],
-                lambda c: iter(ivf.cluster_members(c).tolist()), stats,
+                lambda c, limit: ivf.cluster_members(c).tolist()[:limit], stats,
             )
         single = QueryStats()
         search_by_coarse_centers(
             ivf, blob_data_module[0], 5, 50, [0, 1, 2],
-            lambda c: iter(ivf.cluster_members(c).tolist()), single,
+            lambda c, limit: ivf.cluster_members(c).tolist()[:limit], single,
         )
         assert stats.adc_ms > single.adc_ms
         assert stats.rank_ms > single.rank_ms
         assert stats.fetch_ms > single.fetch_ms
         assert stats.table_ms > 0.0
-
-    def test_precomputed_table_and_centers_identical(self, ivf, blob_data_module):
-        # Passing table= / center_dist= must be bitwise identical to
-        # letting the function compute them itself.
-        query = blob_data_module[4]
-        baseline = search_by_coarse_centers(
-            ivf, query, 7, 100, list(range(5)),
-            lambda c: iter(ivf.cluster_members(c).tolist()), QueryStats(),
-        )
-        precomputed = search_by_coarse_centers(
-            ivf, query, 7, 100, list(range(5)),
-            lambda c: iter(ivf.cluster_members(c).tolist()), QueryStats(),
-            table=ivf.distance_table(query),
-            center_dist=ivf.center_distances(query),
-        )
-        np.testing.assert_array_equal(precomputed.ids, baseline.ids)
-        np.testing.assert_array_equal(precomputed.distances, baseline.distances)
 
 
 class TestQueryResult:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import shutil
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from repro.service import (
     WriteAheadLog,
     recover_index,
 )
-from repro.service.wal import WAL_NAME, _encode, latest_snapshot
+from repro.service.wal import _READ_CHUNK, WAL_NAME, _encode, latest_snapshot
 
 BUILD = dict(num_subspaces=4, num_clusters=12, num_codewords=32, seed=0)
 
@@ -418,6 +419,74 @@ class TestWalCursor:
         with open(log, "ab") as handle:
             handle.write(line[10:])
         assert [(r.seq, r.oid) for r in cursor.poll()] == [(2, 5)]
+
+
+class TestStreamingScan:
+    """Scans read the log in bounded chunks: memory does not grow with it."""
+
+    RECORDS = 20_000
+
+    @pytest.fixture()
+    def long_log(self, tmp_path):
+        wal = WriteAheadLog(tmp_path)
+        vector = np.linspace(0.0, 1.0, 16)
+        for oid in range(self.RECORDS):
+            wal.append_insert(oid, oid * 0.5, vector)
+        return wal
+
+    def test_truncate_peak_memory_is_bounded(self, long_log, tmp_path):
+        size = (tmp_path / WAL_NAME).stat().st_size
+        assert size > 8 * 2**20 // 2  # the log dwarfs the bound below
+        tracemalloc.start()
+        try:
+            long_log._truncate_log(10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        seqs = [record.seq for record in long_log.cursor().poll()]
+        assert seqs == list(range(11, self.RECORDS + 1))
+
+    def test_poll_peak_memory_is_bounded(self, long_log):
+        cursor = long_log.cursor()
+        tracemalloc.start()
+        try:
+            delivered = sum(1 for _ in cursor.poll())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert delivered == self.RECORDS
+        assert peak < 2 * 2**20
+
+    def test_records_longer_than_a_read_chunk(self, tmp_path):
+        wal = WriteAheadLog(tmp_path)
+        big = np.arange(_READ_CHUNK // 4, dtype=np.float64)
+        wal.append_insert(1, 0.5, big)
+        wal.append_delete(1)
+        wal.append_insert(2, 1.5, big)
+        cursor = wal.cursor()
+        records = list(cursor.poll())
+        assert [(r.seq, r.op) for r in records] == [
+            (1, "insert"), (2, "delete"), (3, "insert"),
+        ]
+        assert records[2].vector == big.tolist()
+        assert cursor.bytes_read == (tmp_path / WAL_NAME).stat().st_size
+        wal._truncate_log(1)
+        assert [r.seq for r in wal.cursor().poll()] == [2, 3]
+
+    def test_failed_truncate_leaves_log_and_no_temp_file(self, tmp_path):
+        wal = WriteAheadLog(tmp_path)
+        for oid in range(1, 4):
+            wal.append_delete(oid)
+        log = tmp_path / WAL_NAME
+        lines = log.read_text().splitlines(keepends=True)
+        lines[0] = lines[0][:5] + "X" + lines[0][6:]
+        log.write_text("".join(lines))
+        before = log.read_bytes()
+        with pytest.raises(WALError, match="untrusted tail"):
+            wal._truncate_log(0)
+        assert log.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [WAL_NAME]
 
 
 class TestWriterVsSnapshotterStress:

@@ -19,6 +19,11 @@ from repro.ivf import IVFPQIndex
 BUILD = dict(num_subspaces=4, num_clusters=10, num_codewords=32, seed=0)
 
 
+def _take(ivf):
+    """``take(cluster, limit)`` over a whole IVF cluster."""
+    return lambda cluster, limit: ivf.cluster_members(cluster).tolist()[:limit]
+
+
 @pytest.fixture(scope="module")
 def trained():
     rng = np.random.default_rng(77)
@@ -35,7 +40,7 @@ class TestSearchStatsAccumulate:
         clusters = list(range(ivf.num_clusters))
         stats = QueryStats()
         search_by_coarse_centers(
-            ivf, vectors[0], 5, 10**6, clusters, ivf.cluster_members, stats
+            ivf, vectors[0], 5, 10**6, clusters, _take(ivf), stats
         )
         first_clusters = stats.num_candidate_clusters
         first_candidates = stats.num_candidates
@@ -47,7 +52,7 @@ class TestSearchStatsAccumulate:
         # Second call with a smaller budget into the SAME stats object:
         # counters must sum, l_used must keep the max, timers accumulate.
         search_by_coarse_centers(
-            ivf, vectors[1], 5, 7, clusters, ivf.cluster_members, stats
+            ivf, vectors[1], 5, 7, clusters, _take(ivf), stats
         )
         assert stats.num_candidate_clusters == 2 * first_clusters
         assert stats.num_candidates == first_candidates + 7
@@ -59,7 +64,7 @@ class TestSearchStatsAccumulate:
         stats = QueryStats()
         search_by_coarse_centers(
             ivf, vectors[0], 5, 10**6, list(range(ivf.num_clusters)),
-            ivf.cluster_members, stats,
+            _take(ivf), stats,
         )
         before = (
             stats.num_candidate_clusters,
@@ -67,7 +72,7 @@ class TestSearchStatsAccumulate:
             stats.l_used,
         )
         result = search_by_coarse_centers(
-            ivf, vectors[0], 5, 10**6, [], ivf.cluster_members, stats
+            ivf, vectors[0], 5, 10**6, [], _take(ivf), stats
         )
         assert len(result) == 0
         after = (
@@ -85,13 +90,13 @@ class TestSearchStatsAccumulate:
         for part in split:
             stats = QueryStats()
             search_by_coarse_centers(
-                ivf, vectors[2], 5, 10**6, part, ivf.cluster_members, stats
+                ivf, vectors[2], 5, 10**6, part, _take(ivf), stats
             )
             separate.append(stats)
         merged = QueryStats()
         for part in split:
             search_by_coarse_centers(
-                ivf, vectors[2], 5, 10**6, part, ivf.cluster_members, merged
+                ivf, vectors[2], 5, 10**6, part, _take(ivf), merged
             )
         assert merged.num_candidate_clusters == sum(
             s.num_candidate_clusters for s in separate

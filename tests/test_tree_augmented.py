@@ -13,10 +13,9 @@ from repro.tree import (
     cover_cluster_ids,
     cover_count_in_cluster,
     cover_find_kth_in_cluster,
-    cover_iter_cluster,
+    cover_take_cluster,
     decompose,
     find_kth_in_cluster,
-    iter_cluster_objects,
     iter_range_objects,
 )
 
@@ -128,31 +127,34 @@ class TestClusterRetrieval:
             find_kth_in_cluster(tree.root, 3, 10_000)
 
     def test_iter_cluster_matches_kth(self, populated):
+        # A cluster's run is its rank order over the whole tree.
         tree, _ = populated
-        got = list(iter_cluster_objects(tree.root, 5))
+        got = tree.runs[5][1]
         expected = [
             find_kth_in_cluster(tree.root, 5, rank)
-            for rank in range(1, len(got) + 1)
+            for rank in range(1, tree.root.count_in_cluster(5) + 1)
         ]
         assert got == expected
 
     def test_iter_cluster_skips_deleted(self, populated):
         tree, _ = populated
         tree.delete(5.0, 5)  # oid 5 is in cluster 5
-        assert 5 not in list(iter_cluster_objects(tree.root, 5))
+        assert 5 not in tree.runs[5][1]
+        assert 5 not in cover_take_cluster(decompose(tree, 0.0, 199.0), 5, None)
 
     def test_iter_cluster_missing_cluster(self, populated):
         tree, _ = populated
-        assert list(iter_cluster_objects(tree.root, 99)) == []
+        assert cover_take_cluster(decompose(tree, 0.0, 199.0), 99, None) == []
 
-    def test_cover_iter_cluster_exact(self, populated):
+    def test_cover_take_cluster_exact(self, populated):
         tree, triples = populated
         cover = decompose(tree, 20.0, 150.0)
-        got = sorted(cover_iter_cluster(cover, 2))
-        expected = sorted(
+        expected = [
             oid for attr, oid, c in triples if c == 2 and 20 <= attr <= 150
-        )
-        assert got == expected
+        ]
+        assert cover_take_cluster(cover, 2, None) == expected
+        assert cover_take_cluster(cover, 2, 3) == expected[:3]
+        assert cover_take_cluster(cover, 2, 0) == []
 
     def test_cover_count_in_cluster(self, populated):
         tree, triples = populated
@@ -167,7 +169,7 @@ class TestClusterRetrieval:
         tree, _ = populated
         cover = decompose(tree, 33.0, 140.0)
         for cluster in range(7):
-            sequence = list(cover_iter_cluster(cover, cluster))
+            sequence = cover_take_cluster(cover, cluster, None)
             for rank, oid in enumerate(sequence, start=1):
                 assert cover_find_kth_in_cluster(cover, cluster, rank) == oid
             with pytest.raises(IndexError):
@@ -197,13 +199,17 @@ class TestPropertyBased:
                 tree.delete(float(live[oid][0]), oid)
                 del live[oid]
         cover = decompose(tree, lo, hi)
-        got = sorted(cover_iter_cluster(cover, cluster))
         expected = sorted(
-            oid
+            (attr, oid)
             for oid, (attr, c) in live.items()
             if c == cluster and lo <= attr <= hi
         )
-        assert got == expected
+        got = cover_take_cluster(cover, cluster, None)
+        assert got == [oid for _, oid in expected]
+        assert [
+            cover_find_kth_in_cluster(cover, cluster, rank)
+            for rank in range(1, len(got) + 1)
+        ] == got
         assert cover_count_in_cluster(cover, cluster) == len(expected)
 
 
