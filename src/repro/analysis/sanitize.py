@@ -61,15 +61,9 @@ REGISTRY: tuple[tuple[str, str, tuple[str, ...]], ...] = (
      ("insert", "insert_many", "delete", "delete_many")),
     ("repro.core.rangepq_plus", "RangePQPlus",
      ("insert", "insert_many", "delete", "delete_many")),
-    ("repro.core.multiattr", "MultiAttrRangePQ", ("insert", "delete")),
-    ("repro.db.table", "VectorTable",
-     ("insert", "insert_batch", "upsert", "delete")),
     ("repro.ivf.ivfpq", "IVFPQIndex", ("add", "remove")),
-    ("repro.ivf.flat", "IVFFlatIndex", ("add", "remove")),
     ("repro.ivf.residual", "ResidualIVFPQIndex", ("add",)),
     ("repro.tree.wbt", "RangeTree", ("insert", "delete")),
-    ("repro.btree.bptree", "BPlusTree", ("insert", "delete")),
-    ("repro.btree.bptree", "BPlusAttributeDirectory", ("add", "remove")),
     ("repro.baselines.base", "AttributeDirectory", ("add", "remove")),
     ("repro.baselines.bruteforce", "BruteForceRangeIndex",
      ("insert", "delete")),
@@ -77,9 +71,6 @@ REGISTRY: tuple[tuple[str, str, tuple[str, ...]], ...] = (
      ("insert", "delete", "flush")),
     ("repro.baselines.rii", "RIIIndex", ("insert", "delete")),
     ("repro.baselines.vbase", "VBaseIndex", ("insert", "delete")),
-    ("repro.graph.hnsw", "HNSWIndex", ("add",)),
-    ("repro.graph.serf", "SegmentGraphIndex", ("insert",)),
-    ("repro.graph.range_adapter", "HNSWRangeIndex", ("insert", "delete")),
     ("repro.service.engine", "IndexService",
      ("insert", "insert_many", "delete", "delete_many")),
     ("repro.service.engine", "GlobalLockService", ("insert", "delete")),

@@ -2,7 +2,6 @@
 
 from .adaptive import AdaptiveLPolicy, FixedLPolicy, LPolicy
 from .batch import BatchResult, BatchStats, execute_batch
-from .multiattr import MultiAttrRangePQ
 from .rangepq import RangePQ
 from .rangepq_plus import HybridNode, RangePQPlus
 from .results import QueryResult, QueryStats
@@ -11,7 +10,6 @@ from .search import search_by_coarse_centers
 __all__ = [
     "RangePQ",
     "RangePQPlus",
-    "MultiAttrRangePQ",
     "HybridNode",
     "AdaptiveLPolicy",
     "FixedLPolicy",

@@ -1,7 +1,6 @@
 """Inverted-file (IVF) substrate: coarse quantizer and the dynamic IVFPQ index."""
 
 from .coarse import CoarseQuantizer, default_num_clusters
-from .flat import IVFFlatIndex
 from .ivfpq import (
     DEFAULT_CACHE_CAPACITY,
     DEFAULT_NPROBE_FRACTION,
@@ -15,7 +14,6 @@ __all__ = [
     "CoarseQuantizer",
     "default_num_clusters",
     "IVFPQIndex",
-    "IVFFlatIndex",
     "IVFSearchResult",
     "ResidualIVFPQIndex",
     "DEFAULT_NPROBE_FRACTION",

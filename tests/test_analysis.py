@@ -1,7 +1,10 @@
 """The lint pass (rules R001-R013, noqa, baselines, CLI) and the sanitizer."""
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import (
     RULES,
     SanitizedIndex,
@@ -642,6 +646,38 @@ def test_env_variable_installs_at_import_time():
     )
     assert result.returncode == 0, result.stderr
     assert "sanitized" in result.stdout
+
+
+#: Classes with a ``check_invariants`` that ``install`` must not patch.
+#: ``ClusterCoordinator``'s check queries the shard primaries and is only
+#: meaningful while no writes are in flight, so it cannot run after each
+#: mutation.
+UNSANITIZED = {("repro.cluster.coordinator", "ClusterCoordinator")}
+
+
+def test_registry_lists_every_audited_class_and_its_own_mutators():
+    # ``install`` skips a listed method the class does not define itself,
+    # so a renamed or inherited mutator would go unaudited without a sound.
+    expected = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.rsplit(".", 1)[-1] == "__main__":
+            continue
+        module = importlib.import_module(info.name)
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ != info.name:
+                continue
+            if "check_invariants" not in cls.__dict__:
+                continue
+            if (info.name, name) in UNSANITIZED:
+                continue
+            expected[(info.name, name)] = sanitize.MUTATOR_NAMES & set(
+                cls.__dict__
+            )
+    registry = {
+        (module, name): set(methods)
+        for module, name, methods in sanitize.REGISTRY
+    }
+    assert registry == expected
 
 
 # ----------------------------------------------------------------------

@@ -11,14 +11,7 @@ REPO = Path(__file__).resolve().parent.parent
 DOCS = [
     REPO / "README.md",
     REPO / "DESIGN.md",
-    REPO / "docs" / "algorithms.md",
-    REPO / "docs" / "tuning.md",
-    REPO / "docs" / "analysis.md",
-    REPO / "docs" / "service.md",
-    REPO / "docs" / "observability.md",
-    REPO / "docs" / "serving.md",
-    REPO / "docs" / "parallel.md",
-    REPO / "docs" / "cluster.md",
+    *sorted((REPO / "docs").glob("*.md")),
 ]
 
 #: Backticked tokens that look like repo paths: segments/with/slashes ending
