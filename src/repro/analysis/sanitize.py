@@ -45,8 +45,6 @@ MUTATOR_NAMES = frozenset(
     {
         "insert",
         "insert_many",
-        "insert_batch",
-        "upsert",
         "delete",
         "delete_many",
         "add",

@@ -15,7 +15,7 @@ are recopied on every update — matching both RII's actual design and the
 paper's Fig. 7 observation that RII deletions pay for updating this frame.
 Index reconstruction fires when the store grows past ``reconstruct_factor``
 times its size at the last build (RII's answer to drift), compacting the
-frame and the inverted lists.
+frame.
 """
 
 from __future__ import annotations
@@ -269,5 +269,9 @@ class RIIIndex(BatchSearchMixin):
     # Memory model
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
-        """IVFPQ storage plus the external data frame (12 B per entry)."""
-        return self.ivf.memory_bytes() + 12 * len(self._frame_oids)
+        """IVFPQ storage, a 4 B inverted-list entry per object (the subset
+        probe reads per-cluster members), and the external data frame
+        (12 B per entry)."""
+        return (
+            self.ivf.memory_bytes() + 4 * len(self.ivf) + 12 * len(self._frame_oids)
+        )

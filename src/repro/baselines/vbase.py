@@ -229,5 +229,9 @@ class VBaseIndex(BatchSearchMixin):
     # Memory model
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
-        """Index memory: IVFPQ storage + attribute index (heap excluded)."""
-        return self.ivf.memory_bytes() + self.directory.memory_bytes()
+        """Index memory: IVFPQ storage, a 4 B inverted-list entry per object
+        (the iterator reads per-cluster members) and the attribute index
+        (heap excluded)."""
+        return (
+            self.ivf.memory_bytes() + 4 * len(self.ivf) + self.directory.memory_bytes()
+        )

@@ -47,7 +47,9 @@ class MemoryBreakdown:
 
     Attributes:
         pq_codes: Encoded vectors in the IVF layer.
-        inverted_lists: Cluster membership (IDs + list bookkeeping).
+        cluster_ids: The 4 B coarse cluster ID of each object (the IVF
+            layer's only membership record; RangePQ's runs and RangePQ+'s
+            buckets hold their own).
         codebooks: PQ sub-codebooks plus coarse centers (training output).
         tree_nodes: Fixed per-node record of the attribute tree (for
             RangePQ also its 4 B per-object run entries).
@@ -58,7 +60,7 @@ class MemoryBreakdown:
     """
 
     pq_codes: int
-    inverted_lists: int
+    cluster_ids: int
     codebooks: int
     tree_nodes: int
     aggregates: int
@@ -69,7 +71,7 @@ class MemoryBreakdown:
         """Sum of all components."""
         return (
             self.pq_codes
-            + self.inverted_lists
+            + self.cluster_ids
             + self.codebooks
             + self.tree_nodes
             + self.aggregates
@@ -80,7 +82,7 @@ class MemoryBreakdown:
         """(component, bytes) pairs for table rendering."""
         return [
             ("pq_codes", self.pq_codes),
-            ("inverted_lists", self.inverted_lists),
+            ("cluster_ids", self.cluster_ids),
             ("codebooks", self.codebooks),
             ("tree_nodes", self.tree_nodes),
             ("aggregates", self.aggregates),
@@ -89,14 +91,14 @@ class MemoryBreakdown:
 
 
 def _ivf_components(ivf) -> tuple[int, int, int]:
-    """(pq_codes, inverted_lists, codebooks) bytes of an IVFPQIndex."""
+    """(pq_codes, cluster_ids, codebooks) bytes of an IVFPQIndex."""
     n = len(ivf)
     pq_codes = n * ivf.pq.code_bytes_per_vector()
-    inverted = n * (4 + 4)  # cluster ID per object + one list entry
+    cluster_ids = 4 * n
     codebooks = ivf.pq.codebook_bytes()
     if ivf.coarse is not None:
         codebooks += ivf.coarse.center_bytes()
-    return pq_codes, inverted, codebooks
+    return pq_codes, cluster_ids, codebooks
 
 
 def rangepq_breakdown(index: RangePQ) -> MemoryBreakdown:
@@ -104,11 +106,11 @@ def rangepq_breakdown(index: RangePQ) -> MemoryBreakdown:
 
     Matches :meth:`RangePQ.memory_bytes` in total.
     """
-    pq_codes, inverted, codebooks = _ivf_components(index.ivf)
+    pq_codes, cluster_ids, codebooks = _ivf_components(index.ivf)
     aggregates = 8 * index.tree.aux_entry_count()
     return MemoryBreakdown(
         pq_codes=pq_codes,
-        inverted_lists=inverted,
+        cluster_ids=cluster_ids,
         codebooks=codebooks,
         tree_nodes=index.tree.memory_bytes() - aggregates,
         aggregates=aggregates,
@@ -121,7 +123,7 @@ def rangepq_plus_breakdown(index: RangePQPlus) -> MemoryBreakdown:
 
     Matches :meth:`RangePQPlus.memory_bytes` in total.
     """
-    pq_codes, inverted, codebooks = _ivf_components(index.ivf)
+    pq_codes, cluster_ids, codebooks = _ivf_components(index.ivf)
     tree_nodes = 0
     aggregates = 0
     bucket_tables = 0
@@ -133,7 +135,7 @@ def rangepq_plus_breakdown(index: RangePQPlus) -> MemoryBreakdown:
         bucket_tables += 12 * len(node.attrs)
     return MemoryBreakdown(
         pq_codes=pq_codes,
-        inverted_lists=inverted,
+        cluster_ids=cluster_ids,
         codebooks=codebooks,
         tree_nodes=tree_nodes,
         aggregates=aggregates,

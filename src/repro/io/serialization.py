@@ -101,7 +101,6 @@ def _unpack_ivf(archive, meta: dict, *, codes: np.ndarray | None = None) -> IVFP
     coarse = CoarseQuantizer(int(meta["num_clusters"]), seed=meta.get("seed"))
     coarse.centers = archive["coarse_centers"]
     ivf.coarse = coarse
-    from ..ivf.ivfpq import _InvertedList
 
     oids = np.asarray(archive["oids"], dtype=np.int64)
     # The in-core cluster plane is deliberately int32 (cluster ids are
@@ -114,9 +113,6 @@ def _unpack_ivf(archive, meta: dict, *, codes: np.ndarray | None = None) -> IVFP
     ivf._oid_of_row = oids.copy()
     ivf._row_of = {int(oid): row for row, oid in enumerate(oids.tolist())}
     ivf._free_rows = []
-    ivf._lists = [_InvertedList() for _ in range(ivf.num_clusters)]
-    for oid, cluster in zip(oids.tolist(), clusters.tolist()):
-        ivf._lists[int(cluster)].add(oid)
     return ivf
 
 

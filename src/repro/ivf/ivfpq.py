@@ -11,8 +11,11 @@ Design notes:
   cluster.  RangePQ's ``SearchByCCenters`` depends on this property.
 * Object IDs are caller-assigned non-negative integers.  Rows are stored in
   growable arrays with a free-list so deletes leave no holes to scan.
-* Each inverted list tracks member positions in a dict, giving O(1)
-  swap-with-last removal.
+* Cluster membership lives only in the row-aligned ``_clusters`` array;
+  the readers that need a cluster's members (plain IVF search, the RII and
+  VBase baselines) derive them on demand and memoize them per cluster
+  until the next mutation.  RangePQ and RangePQ+ keep their own
+  membership in their runs and buckets.
 """
 
 from __future__ import annotations
@@ -85,48 +88,6 @@ def _reject_repeated_ids(ids: list) -> None:
         raise ValueError(f"object {repeated} repeated within one batch")
 
 
-class _InvertedList:
-    """One coarse cluster's member set with O(1) add/remove.
-
-    Keeps a cached numpy view of the member IDs that is invalidated on
-    mutation, so repeated searches over a static index pay the array
-    conversion only once.
-    """
-
-    __slots__ = ("_members", "_pos", "_cache")
-
-    def __init__(self) -> None:
-        self._members: list[int] = []
-        self._pos: dict[int, int] = {}
-        self._cache: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, oid: int) -> bool:
-        return oid in self._pos
-
-    def add(self, oid: int) -> None:
-        if oid in self._pos:
-            raise KeyError(f"object {oid} already in inverted list")
-        self._pos[oid] = len(self._members)
-        self._members.append(oid)
-        self._cache = None
-
-    def remove(self, oid: int) -> None:
-        pos = self._pos.pop(oid)
-        last = self._members.pop()
-        if last != oid:
-            self._members[pos] = last
-            self._pos[last] = pos
-        self._cache = None
-
-    def as_array(self) -> np.ndarray:
-        if self._cache is None:
-            self._cache = np.asarray(self._members, dtype=np.int64)
-        return self._cache
-
-
 class IVFPQIndex:
     """Dynamic inverted-file index with product-quantized codes.
 
@@ -165,7 +126,9 @@ class IVFPQIndex:
         self._row_of: dict[int, int] = {}
         self._oid_of_row = np.empty(0, dtype=np.int64)
         self._free_rows: list[int] = []
-        self._lists: list[_InvertedList] = []
+        # cluster id -> read-only member oids in row order; cleared before
+        # every mutation (see cluster_members).
+        self._members: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -215,6 +178,7 @@ class IVFPQIndex:
         Returns:
             ``self``, for chaining.
         """
+        self._members.clear()
         training_vectors = np.asarray(training_vectors, dtype=np.float64)
         k = self._requested_clusters or default_num_clusters(len(training_vectors))
         self.coarse = CoarseQuantizer(k, seed=self.seed).fit(
@@ -227,7 +191,6 @@ class IVFPQIndex:
             max_iter=max_iter,
             max_training_points=max_training_points,
         )
-        self._lists = [_InvertedList() for _ in range(k)]
         self._codes = np.empty((0, self.pq.num_subspaces), dtype=self.pq.code_dtype)
         # Cached tables/distances were computed against the old quantizers.
         self.clear_caches()
@@ -237,7 +200,7 @@ class IVFPQIndex:
         """A fresh, empty index sharing this one's trained quantizers.
 
         The coarse centers and PQ codebooks are immutable after training, so
-        sharing them is safe; storage (codes, inverted lists) is independent.
+        sharing them is safe; storage (codes, cluster ids) is independent.
         Used by the experiment harness to give every method an identically
         trained substrate without re-running k-means.
         """
@@ -252,7 +215,6 @@ class IVFPQIndex:
         )
         clone.pq = self.pq
         clone.coarse = self.coarse
-        clone._lists = [_InvertedList() for _ in range(self.num_clusters)]
         clone._codes = np.empty((0, self.pq.num_subspaces), dtype=self.pq.code_dtype)
         return clone
 
@@ -303,6 +265,7 @@ class IVFPQIndex:
             if oid in self._row_of:
                 raise KeyError(f"object {oid} already present")
         _reject_repeated_ids(ids)
+        self._members.clear()
         clusters = self.coarse.assign(vectors)
         codes = self.pq.encode(vectors)
         self._grow(len(ids))
@@ -316,19 +279,17 @@ class IVFPQIndex:
             self._oid_of_row[row] = oid
             self._clusters[row] = cluster
             self._codes[row] = code
-            self._lists[int(cluster)].add(oid)
         return clusters.astype(np.int32)  # repro: noqa-D001 — in-core plane is int32 by design
 
     def remove(self, ids: Iterable[int]) -> None:
         """Delete the given object IDs.
 
         Raises:
-            KeyError: If any ID is absent.
+            KeyError: If any ID is absent; the IDs before it are removed.
         """
+        self._members.clear()
         for oid in ids:
             row = self._row_of.pop(oid)
-            cluster = int(self._clusters[row])
-            self._lists[cluster].remove(oid)
             self._clusters[row] = -1
             self._oid_of_row[row] = -1
             self._free_rows.append(row)
@@ -341,12 +302,27 @@ class IVFPQIndex:
         return int(self._clusters[self._row_of[oid]])
 
     def cluster_members(self, cluster_id: int) -> np.ndarray:
-        """Object IDs currently assigned to ``cluster_id``."""
-        return self._lists[cluster_id].as_array()
+        """Object IDs currently assigned to ``cluster_id``, in row order.
+
+        Derived from the row arrays in ``O(capacity)`` and memoized per
+        cluster until the next mutation, so repeated reads of a static
+        index pay the scan once.  The result is read-only.
+        """
+        members = self._members.get(cluster_id)
+        if members is None:
+            members = self._scan_members(cluster_id)
+            self._members[cluster_id] = members
+        return members
+
+    def _scan_members(self, cluster_id: int) -> np.ndarray:
+        members = self._oid_of_row[np.flatnonzero(self._clusters == cluster_id)]
+        members.setflags(write=False)
+        return members
 
     def cluster_sizes(self) -> np.ndarray:
-        """Array of shape ``(K,)`` with the size of each inverted list."""
-        return np.asarray([len(lst) for lst in self._lists], dtype=np.int64)
+        """Array of shape ``(K,)`` with the member count of each cluster."""
+        live = self._clusters[self._clusters >= 0]
+        return np.bincount(live, minlength=self.num_clusters).astype(np.int64)
 
     @staticmethod
     def _query_key(query: np.ndarray) -> tuple[np.ndarray, bytes]:
@@ -495,7 +471,7 @@ class IVFPQIndex:
         probed = self.coarse.nearest_centers(query, nprobe)
         chunks = []
         for cluster in probed:
-            members = self._lists[int(cluster)].as_array()
+            members = self.cluster_members(int(cluster))
             if members.size == 0:
                 continue
             if allowed_mask is not None:
@@ -526,7 +502,7 @@ class IVFPQIndex:
         """
         table = self.distance_table(query)
         for cluster in self.probe_order(query):
-            members = self._lists[int(cluster)].as_array()
+            members = self.cluster_members(int(cluster))
             if members.size == 0:
                 continue
             distances = self.adc_for_ids(table, members)
@@ -538,7 +514,8 @@ class IVFPQIndex:
     # Invariant checking (sanitizer hook)
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Verify row-map bijectivity, free-list hygiene, and list membership."""
+        """Verify row-map bijectivity, free-list hygiene, cluster ids, and
+        that every memoized member array still matches the row arrays."""
         capacity = len(self._oid_of_row)
         assert self._codes.shape[0] == capacity, "codes/rows capacity mismatch"
         assert len(self._clusters) == capacity, "clusters/rows capacity mismatch"
@@ -551,27 +528,16 @@ class IVFPQIndex:
         for row in free:
             assert self._oid_of_row[row] == -1, f"free row {row} keeps an oid"
             assert self._clusters[row] == -1, f"free row {row} keeps a cluster"
+        num_clusters = self.coarse.num_clusters if self.coarse is not None else 0
         for oid, row in self._row_of.items():
             assert row not in free, f"live object {oid} on a free row"
             assert self._oid_of_row[row] == oid, f"row map broken for {oid}"
             cluster = int(self._clusters[row])
-            assert 0 <= cluster < len(self._lists), f"bad cluster for {oid}"
-            assert oid in self._lists[cluster], (
-                f"object {oid} missing from inverted list {cluster}"
+            assert 0 <= cluster < num_clusters, f"bad cluster for {oid}"
+        for cluster_id, members in self._members.items():
+            assert np.array_equal(members, self._scan_members(cluster_id)), (
+                f"stale member memo for cluster {cluster_id}"
             )
-        members_total = 0
-        for cluster_id, inverted in enumerate(self._lists):
-            assert len(inverted._pos) == len(inverted._members), (
-                f"inverted list {cluster_id} pos/member size mismatch"
-            )
-            for oid, pos in inverted._pos.items():
-                assert inverted._members[pos] == oid, (
-                    f"inverted list {cluster_id} position map broken"
-                )
-            members_total += len(inverted)
-        assert members_total == len(self._row_of), (
-            "inverted lists do not partition the stored objects"
-        )
 
     # ------------------------------------------------------------------
     # Memory accounting (C-equivalent bytes; see eval/memory.py)
@@ -580,11 +546,12 @@ class IVFPQIndex:
         """Bytes a C implementation of this index would occupy.
 
         Counts PQ codes (1–2 B per subspace per object), one 4 B cluster ID
-        per object, 4 B per inverted-list entry, and the float32 codebooks
-        and coarse centers.
+        per object, and the float32 codebooks and coarse centers.  Readers
+        that keep per-cluster member lists (RII, VBase) add their own 4 B
+        list entry per object.
         """
         n = len(self)
-        per_object = self.pq.code_bytes_per_vector() + 4 + 4
+        per_object = self.pq.code_bytes_per_vector() + 4
         static = self.pq.codebook_bytes()
         if self.coarse is not None:
             static += self.coarse.center_bytes()

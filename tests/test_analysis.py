@@ -678,6 +678,8 @@ def test_registry_lists_every_audited_class_and_its_own_mutators():
         for module, name, methods in sanitize.REGISTRY
     }
     assert registry == expected
+    # A name no registered class defines only suggests coverage.
+    assert set().union(*registry.values()) == sanitize.MUTATOR_NAMES
 
 
 # ----------------------------------------------------------------------

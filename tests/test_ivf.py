@@ -119,6 +119,47 @@ class TestIVFPQStorage:
     def test_cluster_sizes_sum_to_n(self, built_index):
         assert built_index.cluster_sizes().sum() == len(built_index)
 
+    def test_cluster_members_track_every_mutation(self, built_index, blob_data):
+        # Members are memoized per cluster; every mutation, including a
+        # remove that raises part-way, must drop what it makes stale.
+        index = built_index
+
+        def assert_members_match():
+            expected = {c: [] for c in range(index.num_clusters)}
+            for oid in index.ids():
+                expected[index.cluster_of(oid)].append(oid)
+            for cluster, oids in expected.items():
+                assert sorted(index.cluster_members(cluster).tolist()) == sorted(oids)
+            sizes = [len(oids) for _, oids in sorted(expected.items())]
+            assert index.cluster_sizes().tolist() == sizes
+            index.check_invariants()
+
+        assert_members_match()
+        index.remove([3, 250, 599])
+        assert_members_match()
+        index.add([1000, 3], blob_data[[10, 3]])
+        assert_members_match()
+        with pytest.raises(KeyError):
+            index.remove([249, 250])  # 249 goes, then 250 is absent
+        assert 249 not in index
+        assert_members_match()
+        index.add([250, 249], blob_data[[250, 249]])
+        assert_members_match()
+
+    def test_cluster_members_read_only(self, built_index):
+        members = built_index.cluster_members(0)
+        with pytest.raises(ValueError):
+            members[0] = -1
+
+    def test_stale_member_memo_fails_invariants(self, built_index):
+        cluster = built_index.cluster_of(5)
+        built_index.cluster_members(cluster)
+        built_index._clusters[built_index._row_of[5]] = (
+            cluster + 1
+        ) % built_index.num_clusters
+        with pytest.raises(AssertionError, match="stale member memo"):
+            built_index.check_invariants()
+
 
 class TestIVFPQSearch:
     def test_self_query_finds_self(self, built_index, blob_data):
@@ -196,4 +237,4 @@ class TestMemoryAccounting:
         index.train(blob_data)
         empty = index.memory_bytes()
         index.add(range(100), blob_data[:100])
-        assert index.memory_bytes() == empty + 100 * (4 + 4 + 4)
+        assert index.memory_bytes() == empty + 100 * (4 + 4)

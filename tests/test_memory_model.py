@@ -60,7 +60,7 @@ class TestBreakdowns:
         a = rangepq_breakdown(flat)
         b = rangepq_plus_breakdown(hybrid)
         assert a.pq_codes == b.pq_codes
-        assert a.inverted_lists == b.inverted_lists
+        assert a.cluster_ids == b.cluster_ids
         assert a.codebooks == b.codebooks
 
     def test_rows_cover_all_components(self):
